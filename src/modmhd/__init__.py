@@ -64,7 +64,7 @@ from .electromagnetics import (
 )
 from .grid import GridSpec
 from .params import Formulation, GaugePolicy, PhysParams
-from .projection import SolverFailure, helmholtz_project, poisson_solve
+from .projection import helmholtz_project, poisson_solve
 from .scenarios import (
     SCENARIO_DEFAULTS,
     CaseSetup,
@@ -101,7 +101,6 @@ __all__ = [
     "SimState",
     "SimulationError",
     "SnapshotError",
-    "SolverFailure",
     "StateInvalidError",
     "TwoFluidState",
     "UniformBackground",

@@ -232,7 +232,7 @@ def identity_suite(
         if n == max(resolutions):
             e_raw = em.e_from_a_dot(w_field, params.c)
             side["div_e_raw"] = ops.l2_norm(ops.div(e_raw, grid, order), grid)
-            w_proj, _ = helmholtz_project(w_field, grid, order, tol=1e-10)
+            w_proj, _ = helmholtz_project(w_field, grid, order)
             e_disc = em.e_from_a_dot(w_proj, params.c)
             side["div_e_discrete"] = ops.l2_norm(ops.div(e_disc, grid, order), grid)
 

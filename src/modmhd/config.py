@@ -41,7 +41,6 @@ class RunConfig:
     stencil_order: int = 2
     gauge_policy: str = "every_step"
     gauge_n: int = 10
-    gauge_tol: float = 1e-10
     t_end: float = 1.0
     out_every: int = 1
     snapshot_every: int = 0
@@ -68,8 +67,8 @@ class RunConfig:
         if self.gauge_policy == "off":
             return GaugePolicy.off()
         if self.gauge_policy == "every_step":
-            return GaugePolicy.every_step(self.gauge_tol)
-        return GaugePolicy.every_n(self.gauge_n, self.gauge_tol)
+            return GaugePolicy.every_step()
+        return GaugePolicy.every_n(self.gauge_n)
 
     def phys(self) -> PhysParams:
         return PhysParams(c=self.c, gamma=self.gamma, courant=self.courant,
@@ -153,7 +152,6 @@ _KEYS = {
     "numerics.gauge_policy": ("gauge_policy", str, "off, every_step or every_n",
                               lambda v: v in ("off", "every_step", "every_n")),
     "numerics.gauge_n": ("gauge_n", _parse_int, ">= 1", lambda v: v >= 1),
-    "numerics.gauge_tol": ("gauge_tol", _parse_float, "> 0", lambda v: v > 0),
     "numerics.t_end": ("t_end", _parse_float, ">= 0", lambda v: v >= 0),
     "numerics.out_every": ("out_every", _parse_int, ">= 1", lambda v: v >= 1),
     "numerics.snapshot_every": ("snapshot_every", _parse_int, ">= 0",

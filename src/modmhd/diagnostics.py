@@ -93,7 +93,7 @@ def diagnostics(
         diva_l2 = ops.l2_norm(diva, g)
         diva_max = ops.max_norm(diva)
         w = ops.cross(state.v, h_tot)
-        w_proj, _ = helmholtz_project(w, g, order, tol=params.gauge.tol)
+        w_proj, _ = helmholtz_project(w, g, order)
         ohm = ops.l2_norm(w - w_proj, g) / params.c
     else:
         diva_l2 = 0.0

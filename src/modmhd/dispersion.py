@@ -32,6 +32,7 @@ import numpy as np
 from .dynamics import Rhs, compute_rhs
 from .electromagnetics import FOUR_PI, BackgroundPotential
 from .grid import GridSpec
+from .operators import modified_wavenumber
 from .params import Formulation, PhysParams
 from .state import SimState
 
@@ -40,16 +41,6 @@ def _skew(u: np.ndarray) -> np.ndarray:
     """Matrix S with S @ x = u x x."""
     ux, uy, uz = u
     return np.array([[0.0, -uz, uy], [uz, 0.0, -ux], [-uy, ux, 0.0]])
-
-
-def modified_wavenumber(k: float, spacing: float, order: int = 2) -> float:
-    """Symbol ktilde of the centered first-derivative stencil at wavenumber k."""
-    kh = k * spacing
-    if order == 2:
-        return np.sin(kh) / spacing
-    if order == 4:
-        return (8.0 * np.sin(kh) - np.sin(2.0 * kh)) / (6.0 * spacing)
-    raise ValueError(f"unsupported stencil order {order}")
 
 
 def modified_wavevector(kvec, grid: GridSpec, order: int = 2) -> np.ndarray:

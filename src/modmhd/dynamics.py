@@ -30,7 +30,7 @@ from . import electromagnetics as em
 from . import operators as ops
 from .diagnostics import DiagnosticsRecord, diagnostics
 from .params import Formulation, PhysParams
-from .projection import SolverFailure, helmholtz_project
+from .projection import helmholtz_project
 from .state import SimState, StateInvalidError, validate_state
 
 FOUR_PI = em.FOUR_PI
@@ -107,7 +107,7 @@ def enforce_gauge(state: SimState, params: PhysParams) -> tuple[SimState, float]
         raise ValueError("gauge enforcement applies to the modified formulation only")
     g = state.grid
     drift = ops.l2_norm(ops.div(state.a, g, params.stencil_order), g)
-    a_proj, _ = helmholtz_project(state.a, g, params.stencil_order, tol=params.gauge.tol)
+    a_proj, _ = helmholtz_project(state.a, g, params.stencil_order)
     return replace(state, a=a_proj), drift
 
 
@@ -175,20 +175,28 @@ def run(
 
     The step size is recomputed every step; the final step is clipped to
     land on t_end exactly.  A diagnostics record is emitted at the start,
-    after every ``out_every``-th step, and at t_end.  If the state goes
-    invalid or a projection fails, a SimulationError carrying all records
-    collected so far is raised (nothing is silently dropped).
+    after every ``out_every``-th step, and at t_end.  Entropy is reported
+    as drift from the initial record, also to ``on_record``.  If the state
+    goes invalid, a SimulationError carrying all records collected so far
+    is raised (nothing is silently dropped).  A grid too small for the
+    stencil order raises ValueError before anything runs.
     """
     if t_end < initial.t:
         raise ValueError("t_end must not precede the initial time")
     if out_every < 1:
         raise ValueError("out_every must be >= 1")
+    initial.grid.require_order(params.stencil_order)
 
     state = initial
     records: list[DiagnosticsRecord] = []
+    entropy0 = None
 
     def record(dt: float, drift: float | None):
+        nonlocal entropy0
         rec = diagnostics(state, params, dt=dt, gauge_drift=drift)
+        if entropy0 is None:
+            entropy0 = rec.entropy
+        rec = replace(rec, entropy=rec.entropy - entropy0)
         records.append(rec)
         if on_record is not None:
             on_record(state, rec)
@@ -213,11 +221,6 @@ def run(
                 on_step(state, step)
             if final or step % out_every == 0:
                 record(dt, drift)
-    except (StateInvalidError, SolverFailure) as exc:
+    except StateInvalidError as exc:
         raise SimulationError(f"run aborted at t={state.t:.6g}: {exc}", records) from exc
-
-    # Report entropy as drift from the initial record.
-    if records:
-        s0 = records[0].entropy
-        records = [replace(r, entropy=r.entropy - s0) for r in records]
     return state, records

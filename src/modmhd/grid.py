@@ -119,10 +119,6 @@ class GridSpec:
         return xs[:, None, None], ys[None, :, None], zs[None, None, :]
 
 
-def zeros_scalar(grid: GridSpec) -> np.ndarray:
-    return np.zeros(grid.shape)
-
-
 def zeros_vector(grid: GridSpec) -> np.ndarray:
     return np.zeros(grid.vshape)
 

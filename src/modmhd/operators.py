@@ -33,6 +33,19 @@ def _d1(f: np.ndarray, axis: int, h: float, order: int) -> np.ndarray:
     raise ValueError(f"stencil order must be 2 or 4, got {order}")
 
 
+def modified_wavenumber(k, spacing: float, order: int = 2):
+    """Symbol ktilde of the centered first-derivative stencil at wavenumber k.
+
+    ``_d1`` maps exp(i k x) to i * ktilde * exp(i k x).  k may be an array.
+    """
+    kh = k * spacing
+    if order == 2:
+        return np.sin(kh) / spacing
+    if order == 4:
+        return (8.0 * np.sin(kh) - np.sin(2.0 * kh)) / (6.0 * spacing)
+    raise ValueError(f"unsupported stencil order {order}")
+
+
 def _d2(f: np.ndarray, axis: int, h: float, order: int) -> np.ndarray:
     """Compact second derivative along one axis."""
     if order == 2:

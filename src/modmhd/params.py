@@ -30,15 +30,12 @@ class GaugePolicy:
 
     mode: str = "every_step"
     every: int = 1
-    tol: float = 1e-10
 
     def __post_init__(self):
         if self.mode not in ("off", "every_step", "every_n"):
             raise ValueError(f"unknown gauge mode {self.mode!r}")
         if self.every < 1:
             raise ValueError("gauge interval must be >= 1")
-        if not self.tol > 0.0:
-            raise ValueError("gauge tolerance must be positive")
 
     def due(self, completed_steps: int) -> bool:
         if self.mode == "off":
@@ -52,12 +49,12 @@ class GaugePolicy:
         return cls(mode="off")
 
     @classmethod
-    def every_step(cls, tol: float = 1e-10) -> "GaugePolicy":
-        return cls(mode="every_step", tol=tol)
+    def every_step(cls) -> "GaugePolicy":
+        return cls(mode="every_step")
 
     @classmethod
-    def every_n(cls, n: int, tol: float = 1e-10) -> "GaugePolicy":
-        return cls(mode="every_n", every=n, tol=tol)
+    def every_n(cls, n: int) -> "GaugePolicy":
+        return cls(mode="every_n", every=n)
 
 
 @dataclass(frozen=True)

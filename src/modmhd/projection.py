@@ -7,11 +7,19 @@ every other operator, so "div of the projected field is small" is a
 statement about the one discrete divergence this package has, not about
 some second discretization.
 
-The solve is plain conjugate gradients, matrix free.  On a periodic box
-the operator is singular (constants, and on even grids the per-axis
-Nyquist modes), so the right-hand side must have zero mean and the mean
-of the residual is re-projected every iteration to keep roundoff from
-feeding the null space.
+On the periodic uniform grid that Laplacian is diagonal in Fourier space:
+each first-derivative stencil multiplies exp(i k x) by i*ktilde
+(``operators.modified_wavenumber``), so div(grad(.)) has the symbol
+-(kx~^2 + ky~^2 + kz~^2) and the solve is one forward FFT, a divide and
+one inverse FFT -- exact to roundoff, with no iteration or tolerance.
+
+The operator is singular: its null space is spanned by the modes whose
+every axis wavenumber is 0 or, on an even axis, that axis's Nyquist mode
+(constants, checkerboards, ...).  In real space those modes are the
+fields that depend only on the parity of each grid index, so the content
+of a field in the null space is its mean over each parity class.  The
+right-hand side must have none; the solution is returned with none,
+which makes it the zero-mean, minimum-norm solution.
 """
 
 from __future__ import annotations
@@ -22,100 +30,72 @@ from . import operators as ops
 from .grid import GridSpec
 
 
-class SolverFailure(RuntimeError):
-    """Poisson solve did not reach tolerance within the iteration budget."""
+def _parity_blocks(f: np.ndarray) -> np.ndarray:
+    """View of a scalar field as (n/p, p) per axis, p = 2 on even axes, else 1.
 
-    def __init__(self, message: str, residual: float, tol: float, iterations: int):
-        super().__init__(message)
-        self.residual = residual
-        self.tol = tol
-        self.iterations = iterations
+    The mean over axes (0, 2, 4) of this view is the field's null-space
+    content: one mean per parity class of grid points.
+    """
+    shape = []
+    for n in f.shape:
+        p = 2 if n % 2 == 0 else 1
+        shape += [n // p, p]
+    return f.reshape(shape)
 
 
-def poisson_solve(
-    rhs: np.ndarray,
-    grid: GridSpec,
-    order: int = 2,
-    tol: float = 1e-10,
-    max_iter: int | None = None,
-) -> np.ndarray:
-    """Solve lap(u) = rhs on the periodic box; returns the zero-mean u.
+def _symbol(grid: GridSpec, order: int) -> np.ndarray:
+    """Fourier symbol of div(grad(.)) on the rfftn half-spectrum.
 
-    The rhs must have zero mean to ~1e-12 relative (periodic solvability);
-    callers subtract the mean first.  Convergence criterion is
-    ||lap(u) - rhs||_2 <= tol * ||rhs||_2 in the plain vector norm.
+    Null-space modes get an infinite symbol, so dividing by it zeroes them.
+    """
+    kt2 = []
+    lengths = (grid.lx, grid.ly, grid.lz)
+    for axis, (n, h) in enumerate(zip(grid.shape, grid.spacings)):
+        # integer mode numbers in rfftn order (the last axis is halved)
+        if axis == 2:
+            m = np.arange(n // 2 + 1)
+        else:
+            m = np.fft.ifftshift(np.arange(n) - n // 2)
+        kt = ops.modified_wavenumber(2.0 * np.pi * m / lengths[axis], h, order)
+        # the stencil annihilates the Nyquist mode exactly, but sin(pi) is
+        # not exactly 0 in floating point
+        kt[2 * np.abs(m) == n] = 0.0
+        kt2.append(kt * kt)
+    lap = -(kt2[0][:, None, None] + kt2[1][None, :, None] + kt2[2][None, None, :])
+    lap[lap == 0.0] = np.inf
+    return lap
+
+
+def poisson_solve(rhs: np.ndarray, grid: GridSpec, order: int = 2) -> np.ndarray:
+    """Solve div(grad(u)) = rhs on the periodic box; returns the zero-mean u.
+
+    The rhs must have no null-space content: its mean over each parity
+    class of grid points (for an odd-sized box, just its mean) must be
+    zero to 1e-12 of its rms (periodic solvability).  Callers remove it
+    first.  The solve is exact to roundoff.
     """
     if rhs.shape != grid.shape:
         raise ValueError(f"rhs: expected shape {grid.shape}, got {rhs.shape}")
-    if max_iter is None:
-        max_iter = 50 * max(grid.nx, grid.ny, grid.nz)
 
     rms = float(np.sqrt(np.vdot(rhs, rhs).real / rhs.size))
-    mean = float(rhs.mean())
     if rms == 0.0:
         return np.zeros(grid.shape)
-    if abs(mean) > 1e-12 * rms:
+    null = float(np.abs(_parity_blocks(rhs).mean(axis=(0, 2, 4))).max())
+    if null > 1e-12 * rms:
         raise ValueError(
-            f"poisson rhs must have zero mean (got mean {mean:.3e} vs rms {rms:.3e})"
+            "poisson rhs must have zero mean and no checkerboard (null-space) "
+            f"content (got {null:.3e} vs rms {rms:.3e})"
         )
 
-    # CG on the SPD operator A = -div(grad(.)), solving A u = -(rhs - mean).
-    def apply_a(p):
-        return -ops.div(ops.grad(p, grid, order), grid, order)
-
-    b = mean - rhs
-    b -= b.mean()
-    target = tol * float(np.sqrt(np.vdot(b, b).real))
-
-    x = np.zeros(grid.shape)
-    r = b.copy()
-    p = r.copy()
-    rs = float(np.vdot(r, r).real)
-    res = np.sqrt(rs)
-    it = 0
-    while it < max_iter:
-        if res <= target:
-            # Recurrence says converged; confirm with the true residual.
-            r_true = b - apply_a(x)
-            r_true -= r_true.mean()
-            res_true = float(np.sqrt(np.vdot(r_true, r_true).real))
-            if res_true <= target:
-                return x - x.mean()
-            r = r_true
-            p = r.copy()
-            rs = float(np.vdot(r, r).real)
-            res = np.sqrt(rs)
-        ap = apply_a(p)
-        alpha = rs / float(np.vdot(p, ap).real)
-        x += alpha * p
-        r -= alpha * ap
-        r -= r.mean()
-        rs_new = float(np.vdot(r, r).real)
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-        res = np.sqrt(rs)
-        it += 1
-
-    if res <= target:
-        r_true = b - apply_a(x)
-        res_true = float(np.sqrt(np.vdot(r_true, r_true).real))
-        if res_true <= target:
-            return x - x.mean()
-        res = res_true
-    raise SolverFailure(
-        f"poisson solve stalled at residual {res:.3e} (target {target:.3e}) "
-        f"after {it} iterations",
-        residual=res,
-        tol=tol,
-        iterations=it,
-    )
+    axes = (0, 1, 2)
+    u_hat = np.fft.rfftn(rhs, axes=axes) / _symbol(grid, order)
+    return np.fft.irfftn(u_hat, s=grid.shape, axes=axes)
 
 
 def helmholtz_project(
     v: np.ndarray,
     grid: GridSpec,
     order: int = 2,
-    tol: float = 1e-10,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Remove the gradient part of V: returns (V - grad(phi), phi).
 
@@ -126,10 +106,13 @@ def helmholtz_project(
     if v.shape != grid.vshape:
         raise ValueError(f"field: expected shape {grid.vshape}, got {v.shape}")
     d = ops.div(v, grid, order)
-    d -= d.mean()
+    # div has no null-space content up to roundoff; remove that roundoff
+    # (blocks is a view of d)
+    blocks = _parity_blocks(d)
+    blocks -= blocks.mean(axis=(0, 2, 4), keepdims=True)
     d_l2 = float(np.sqrt(np.vdot(d, d).real))
     floor = 1e-14 * float(np.sqrt(np.vdot(v, v).real)) / grid.min_spacing
     if d_l2 <= floor:
         return v, np.zeros(grid.shape)
-    phi = poisson_solve(d, grid, order=order, tol=tol)
+    phi = poisson_solve(d, grid, order=order)
     return v - ops.grad(phi, grid, order), phi

@@ -201,7 +201,7 @@ def random_solenoidal(
     a = draw_field()
     v = draw_field()
     if amplitude > 0.0:
-        a, _ = helmholtz_project(a, grid, order, tol=1e-12)
+        a, _ = helmholtz_project(a, grid, order)
 
     state = _mag_state(
         grid, formulation, v, np.full(grid.shape, rho0), np.full(grid.shape, p0),

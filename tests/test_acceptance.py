@@ -136,7 +136,7 @@ def test_criterion_4_linear_spectra():
 
 def test_criterion_5_conservation_and_gauge_control():
     grid = cube(32)
-    params = PhysParams(gauge=GaugePolicy.every_step(1e-10))
+    params = PhysParams(gauge=GaugePolicy.every_step())
 
     # modified formulation, projection every step
     st = random_solenoidal(grid, Formulation.MODIFIED).state
@@ -286,7 +286,7 @@ def test_criterion_9_gauge_policy_tension():
     assert diva[-1] > 1e3 * max(diva[0], 1e-30)
     assert diva[-1] > 1e-8          # macroscopic, not roundoff
 
-    p_es = PhysParams(gauge=GaugePolicy.every_step(1e-10))
+    p_es = PhysParams(gauge=GaugePolicy.every_step())
     _, rec_es = run(case.state, p_es, t_end=3.0, out_every=1)
     assert all(r.divA_l2 <= 1e-10 * scale for r in rec_es)
     print(f"[PASS] criterion 9: gauge off lets ||div A|| grow "

@@ -58,6 +58,16 @@ def test_run_with_missing_file_is_config_error(tmp_path, capsys):
     assert "cannot read config" in capsys.readouterr().err
 
 
+def test_run_grid_too_small_for_stencil_order_is_config_error(tmp_path, capsys):
+    cfg = _cfg(tmp_path, 'scenario.name = "uniform_rest"\nnumerics.stencil_order = 4\n')
+    out = tmp_path / "out"
+    argv = ["run", "--config", cfg, "--out-dir", str(out),
+            "--set", "grid.nx=6", "--set", "grid.ny=6", "--set", "grid.nz=6"]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert "at least 8 points" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_fixed_point_row_count_and_mass(tmp_path, capsys):
     # ten CFL steps: nine whole ones plus a clipped final step
     dt = 0.4 * (TWO_PI / 16) / np.sqrt(5.0 / 3.0)

@@ -56,6 +56,11 @@ def test_unknown_key_reports_line_number():
         parse_config(MINIMAL + "grid.nw = 3\n")
 
 
+def test_removed_gauge_tol_key_is_unknown():
+    with pytest.raises(ConfigError, match="unknown key 'numerics.gauge_tol'"):
+        parse_config(MINIMAL + "numerics.gauge_tol = 1e-10\n")
+
+
 def test_malformed_line():
     with pytest.raises(ConfigError, match="line 1: expected 'key = value'"):
         parse_config("just words\n")
@@ -130,11 +135,11 @@ def test_resolution_lists():
 
 
 def test_gauge_policy_mapping():
-    assert parse_config(MINIMAL).gauge() == GaugePolicy.every_step(1e-10)
+    assert parse_config(MINIMAL).gauge() == GaugePolicy.every_step()
     cfg = parse_config(
         MINIMAL + "numerics.gauge_policy = every_n\nnumerics.gauge_n = 5\n"
     )
-    assert cfg.gauge() == GaugePolicy.every_n(5, 1e-10)
+    assert cfg.gauge() == GaugePolicy.every_n(5)
     off = parse_config(MINIMAL + "numerics.gauge_policy = off\n").gauge()
     assert not off.due(1)
 

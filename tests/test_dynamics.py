@@ -285,6 +285,8 @@ def test_run_rejects_bad_arguments():
         run(st, PhysParams(), t_end=-1.0)
     with pytest.raises(ValueError):
         run(st, PhysParams(), t_end=1.0, out_every=0)
+    with pytest.raises(ValueError, match="at least 8 points"):
+        run(_rest_state(cube(6)), PhysParams(stencil_order=4), t_end=1.0)
 
 
 def test_run_record_cadence():
@@ -343,3 +345,30 @@ def test_run_entropy_shifted_to_zero_start():
     case = sound_wave(g, Formulation.MODIFIED, delta=1e-3)
     _, recs = run(case.state, PhysParams(), t_end=0.1)
     assert recs[0].entropy == 0.0
+
+
+def test_run_failure_reports_entropy_drift():
+    # the source poisons the pressure in the first stage of step 3
+    g = cube(8)
+    case = sound_wave(g, Formulation.MODIFIED, delta=1e-3)
+    p = PhysParams()
+    t_end = 5.5 * cfl_dt(case.state, p)
+    calls = []
+
+    def source(grid, t):
+        calls.append(t)
+        zero = np.zeros(grid.shape)
+        dp = np.full(grid.shape, np.nan) if len(calls) > 8 else zero
+        return np.zeros(grid.vshape), np.zeros(grid.vshape), zero, dp
+
+    seen = []
+    with pytest.raises(SimulationError) as info:
+        run(case.state, p, t_end=t_end, source=source,
+            on_record=lambda s, r: seen.append(r.entropy))
+    recs = info.value.records
+    assert len(recs) == 3
+    assert recs[0].entropy == 0.0
+    assert seen == [r.entropy for r in recs]
+    # same meaning as on the success path
+    _, ok = run(case.state, p, t_end=t_end)
+    assert [r.entropy for r in recs] == [r.entropy for r in ok[:3]]
