@@ -2,8 +2,9 @@
 
 Exit codes are exhaustive and mutually exclusive: 0 success, 1 a
 check failed (an identity or a fitted convergence order out of band),
-2 configuration error, 3 numerical failure mid-run (with the partial
-diagnostics flushed).  Output files are written to a temporary name in
+2 configuration error (including an output location that cannot be
+written), 3 numerical failure mid-run (with the partial diagnostics
+flushed).  Output files are written to a temporary name in
 the target directory and renamed into place, so readers never see a
 torn file.
 """
@@ -274,6 +275,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -52,9 +52,13 @@ def rhs_modified(state: SimState, params: PhysParams) -> Rhs:
     validate_state(state)
     g = state.grid
     o = params.stencil_order
-    h_tot = em.h_from_a(state.a, state.bg, g, o)
+    # one curl A serves j and H; j is taken before H0 is added, because
+    # (x + H0) - (y + H0) is not bitwise x - y
+    curl_a = ops.curl(state.a, g, o)
+    j = (params.c / FOUR_PI) * ops.curl(curl_a, g, o)
+    h_tot = curl_a
+    h_tot += state.bg.uniform_field[:, None, None, None]
     da = ops.cross(state.v, h_tot)
-    j = em.current_from_a(state.a, g, o, params.c)
     force = em.force_modified(j, state.a, state.bg, g, o, params.c)
     gradp = ops.grad(state.p, g, o)
     dv = -ops.advect(state.v, state.v, g, o)

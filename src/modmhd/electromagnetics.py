@@ -98,7 +98,7 @@ class TwoFluidState:
     Quasineutrality (rho_plus + rho_minus = 0) is not enforced here -- the
     per-species force below is well defined without it -- but the reduction
     to the single-fluid advective force only holds when it does; see
-    :func:`quasineutrality_residual`.
+    :func:`force_two_fluid`.
     """
 
     rho_plus: np.ndarray
@@ -109,11 +109,6 @@ class TwoFluidState:
     def current(self) -> np.ndarray:
         """j = rho_plus v_plus + rho_minus v_minus."""
         return self.rho_plus * self.v_plus + self.rho_minus * self.v_minus
-
-
-def quasineutrality_residual(tf: TwoFluidState) -> float:
-    scale = max(float(np.max(np.abs(tf.rho_plus))), 1e-300)
-    return float(np.max(np.abs(tf.rho_plus + tf.rho_minus))) / scale
 
 
 def h_from_a(a: np.ndarray, bg: BackgroundPotential, grid: GridSpec, order: int = 2) -> np.ndarray:

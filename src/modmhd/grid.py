@@ -123,34 +123,9 @@ def zeros_vector(grid: GridSpec) -> np.ndarray:
     return np.zeros(grid.vshape)
 
 
-def full_scalar(grid: GridSpec, expr) -> np.ndarray:
-    """Materialize a (possibly broadcast) expression as a full scalar field."""
-    out = np.zeros(grid.shape)
-    out += expr
-    return out
-
-
 def full_vector(grid: GridSpec, comps) -> np.ndarray:
     """Stack three broadcastable component expressions into a vector field."""
     out = np.zeros(grid.vshape)
     for c in range(3):
         out[c] += comps[c]
     return out
-
-
-def validate_scalar(grid: GridSpec, arr: np.ndarray, name: str = "field") -> np.ndarray:
-    arr = np.asarray(arr, dtype=float)
-    if arr.shape != grid.shape:
-        raise ValueError(f"{name}: expected shape {grid.shape}, got {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name}: contains non-finite values")
-    return arr
-
-
-def validate_vector(grid: GridSpec, arr: np.ndarray, name: str = "field") -> np.ndarray:
-    arr = np.asarray(arr, dtype=float)
-    if arr.shape != grid.vshape:
-        raise ValueError(f"{name}: expected shape {grid.vshape}, got {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name}: contains non-finite values")
-    return arr

@@ -1,10 +1,17 @@
 """Central-difference operators on periodic grids.
 
 All derivative operators are built from the same first-derivative stencil
-(order 2 or 4), applied via ``np.roll`` so periodicity is exact.  Composed
-operators (``curl_curl``) are literal compositions, which keeps discrete
-identities like curl(grad f) = 0 and div(curl V) = 0 exact to roundoff:
-the stencils commute as linear operators.
+(order 2 or 4).  The periodic stencil is applied by slicing: the
+difference f[i+k] - f[i-k] along an axis is written into one output array
+as an interior slice subtraction plus the k wrap-around planes at each
+end, so no shifted copy of the field is made and periodicity is exact.
+The arithmetic is the textbook one, operation for operation (subtract,
+scale by 8, subtract, divide by 2h or 12h), so the result is bitwise the
+same as the shift-and-subtract formula with ``np.roll``; the operator
+tests hold the kernels to that.  Composed operators (``curl_curl``) are
+literal compositions, which keeps discrete identities like
+curl(grad f) = 0 and div(curl V) = 0 exact to roundoff: the stencils
+commute as linear operators.
 
 ``laplacian``/``vector_laplacian`` use the *compact* second-derivative
 stencil.  This is deliberately a different discretization from the wide
@@ -14,23 +21,51 @@ between the two is what the curl-curl identity check measures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .grid import GridSpec
 
+#: Cyclic index triples (i, j, k): component i of a curl or cross product
+#: pairs j with k.
+_CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
-def _d1(f: np.ndarray, axis: int, h: float, order: int) -> np.ndarray:
-    """First derivative along one axis (periodic central difference)."""
+
+def _pair(op, f: np.ndarray, axis: int, k: int, out: np.ndarray) -> np.ndarray:
+    """out[i] = op(f[i+k], f[i-k]) along ``axis``, indices taken mod n."""
+    n = f.shape[axis]
+    if n < 2 * k:
+        raise ValueError(f"a stencil of half-width {k} needs at least {2 * k} "
+                         f"points along axis {axis}, got {n}")
+
+    def cut(a, lo, hi):
+        index = [slice(None)] * a.ndim
+        index[axis] = slice(lo, hi)
+        return a[tuple(index)]
+
+    op(cut(f, 2 * k, n), cut(f, 0, n - 2 * k), out=cut(out, k, n - k))
+    op(cut(f, k, 2 * k), cut(f, n - k, n), out=cut(out, 0, k))
+    op(cut(f, 0, k), cut(f, n - 2 * k, n - k), out=cut(out, n - k, n))
+    return out
+
+
+def _d1(f: np.ndarray, axis: int, h: float, order: int,
+        out: np.ndarray | None = None) -> np.ndarray:
+    """First derivative along one axis (periodic central difference).
+
+    Written into ``out`` when given (it must not overlap ``f``).
+    """
+    if order not in (2, 4):
+        raise ValueError(f"stencil order must be 2 or 4, got {order}")
+    if out is None:
+        out = np.empty(f.shape)
+    _pair(np.subtract, f, axis, 1, out)
     if order == 2:
-        return (np.roll(f, -1, axis) - np.roll(f, 1, axis)) / (2.0 * h)
-    if order == 4:
-        return (
-            8.0 * (np.roll(f, -1, axis) - np.roll(f, 1, axis))
-            - (np.roll(f, -2, axis) - np.roll(f, 2, axis))
-        ) / (12.0 * h)
-    raise ValueError(f"stencil order must be 2 or 4, got {order}")
+        out /= 2.0 * h
+        return out
+    out *= 8.0
+    out -= _pair(np.subtract, f, axis, 2, np.empty(f.shape))
+    out /= 12.0 * h
+    return out
 
 
 def modified_wavenumber(k, spacing: float, order: int = 2):
@@ -48,42 +83,49 @@ def modified_wavenumber(k, spacing: float, order: int = 2):
 
 def _d2(f: np.ndarray, axis: int, h: float, order: int) -> np.ndarray:
     """Compact second derivative along one axis."""
+    if order not in (2, 4):
+        raise ValueError(f"stencil order must be 2 or 4, got {order}")
+    out = _pair(np.add, f, axis, 1, np.empty(f.shape))
     if order == 2:
-        return (np.roll(f, -1, axis) + np.roll(f, 1, axis) - 2.0 * f) / (h * h)
-    if order == 4:
-        return (
-            -(np.roll(f, -2, axis) + np.roll(f, 2, axis))
-            + 16.0 * (np.roll(f, -1, axis) + np.roll(f, 1, axis))
-            - 30.0 * f
-        ) / (12.0 * h * h)
-    raise ValueError(f"stencil order must be 2 or 4, got {order}")
+        out -= 2.0 * f
+        out /= h * h
+        return out
+    # 16 s1 - s2 rounds exactly as the textbook -s2 + 16 s1
+    out *= 16.0
+    out -= _pair(np.add, f, axis, 2, np.empty(f.shape))
+    out -= 30.0 * f
+    out /= 12.0 * h * h
+    return out
 
 
 def grad(s: np.ndarray, grid: GridSpec, order: int = 2) -> np.ndarray:
     """Gradient of a scalar field: (d/dx, d/dy, d/dz) s."""
     h = grid.spacings
-    return np.stack([_d1(s, ax, h[ax], order) for ax in range(3)])
+    out = np.empty((3,) + s.shape)
+    for ax in range(3):
+        _d1(s, ax, h[ax], order, out[ax])
+    return out
 
 
 def div(v: np.ndarray, grid: GridSpec, order: int = 2) -> np.ndarray:
     """Divergence of a vector field."""
     h = grid.spacings
     out = _d1(v[0], 0, h[0], order)
-    out += _d1(v[1], 1, h[1], order)
-    out += _d1(v[2], 2, h[2], order)
+    d = _d1(v[1], 1, h[1], order)
+    out += d
+    out += _d1(v[2], 2, h[2], order, d)
     return out
 
 
 def curl(v: np.ndarray, grid: GridSpec, order: int = 2) -> np.ndarray:
-    """Curl of a vector field."""
-    hx, hy, hz = grid.spacings
-    return np.stack(
-        [
-            _d1(v[2], 1, hy, order) - _d1(v[1], 2, hz, order),
-            _d1(v[0], 2, hz, order) - _d1(v[2], 0, hx, order),
-            _d1(v[1], 0, hx, order) - _d1(v[0], 1, hy, order),
-        ]
-    )
+    """Curl of a vector field: component i is d_j V_k - d_k V_j, (i, j, k) cyclic."""
+    h = grid.spacings
+    out = np.empty(v.shape)
+    d = np.empty(v.shape[1:])
+    for i, j, k in _CYCLIC:
+        _d1(v[k], j, h[j], order, out[i])
+        out[i] -= _d1(v[j], k, h[k], order, d)
+    return out
 
 
 def curl_curl(v: np.ndarray, grid: GridSpec, order: int = 2) -> np.ndarray:
@@ -94,12 +136,14 @@ def curl_curl(v: np.ndarray, grid: GridSpec, order: int = 2) -> np.ndarray:
 def advect(v: np.ndarray, w: np.ndarray, grid: GridSpec, order: int = 2) -> np.ndarray:
     """Advective derivative (V . grad) W, component i: sum_k V_k d_k W_i."""
     h = grid.spacings
-    out = np.empty_like(w)
+    out = np.empty(w.shape)
+    d = np.empty(w.shape[1:])
     for i in range(3):
-        acc = v[0] * _d1(w[i], 0, h[0], order)
-        acc += v[1] * _d1(w[i], 1, h[1], order)
-        acc += v[2] * _d1(w[i], 2, h[2], order)
-        out[i] = acc
+        np.multiply(v[0], _d1(w[i], 0, h[0], order, d), out=out[i])
+        for k in (1, 2):
+            _d1(w[i], k, h[k], order, d)
+            d *= v[k]
+            out[i] += d
     return out
 
 
@@ -110,12 +154,14 @@ def grad_contract(v: np.ndarray, w: np.ndarray, grid: GridSpec, order: int = 2) 
     (V.grad)W = grad_contract(V, W) - V x curl(W).
     """
     h = grid.spacings
-    out = np.empty_like(w)
+    out = np.empty(w.shape)
+    d = np.empty(w.shape[1:])
     for i in range(3):
-        acc = v[0] * _d1(w[0], i, h[i], order)
-        acc += v[1] * _d1(w[1], i, h[i], order)
-        acc += v[2] * _d1(w[2], i, h[i], order)
-        out[i] = acc
+        np.multiply(v[0], _d1(w[0], i, h[i], order, d), out=out[i])
+        for k in (1, 2):
+            _d1(w[k], i, h[i], order, d)
+            d *= v[k]
+            out[i] += d
     return out
 
 
@@ -134,19 +180,19 @@ def vector_laplacian(v: np.ndarray, grid: GridSpec, order: int = 2) -> np.ndarra
 
 
 def cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Pointwise cross product of two vector fields."""
-    return np.cross(u, v, axis=0)
+    """Pointwise cross product of two vector fields: U_j V_k - U_k V_j."""
+    out = np.empty(np.broadcast_shapes(u.shape, v.shape))
+    tmp = np.empty(out.shape[1:])
+    for i, j, k in _CYCLIC:
+        np.multiply(u[j], v[k], out=out[i])
+        np.multiply(u[k], v[j], out=tmp)
+        out[i] -= tmp
+    return out
 
 
 def dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Pointwise dot product of two vector fields (a scalar field)."""
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
-
-
-@dataclass(frozen=True)
-class Norms:
-    l2: float
-    max: float
 
 
 def l2_norm(arr: np.ndarray, grid: GridSpec) -> float:
@@ -156,10 +202,6 @@ def l2_norm(arr: np.ndarray, grid: GridSpec) -> float:
 
 def max_norm(arr: np.ndarray) -> float:
     return float(np.max(np.abs(arr)))
-
-
-def norms(arr: np.ndarray, grid: GridSpec) -> Norms:
-    return Norms(l2=l2_norm(arr, grid), max=max_norm(arr))
 
 
 def integrate(s: np.ndarray, grid: GridSpec) -> float:

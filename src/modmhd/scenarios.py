@@ -340,7 +340,7 @@ def _mms_functions(formulation: Formulation, gamma: float, c: float):
 
 def _mms_eval(funcs, grid: GridSpec, t: float):
     """Evaluate a lambdified 8-pack on the grid -> (mag, v, rho, p) arrays."""
-    xm, ym, zm = np.broadcast_arrays(*grid.meshes())
+    xm, ym, zm = grid.meshes()
     vals = []
     for f in funcs:
         r = np.asarray(f(xm, ym, zm, t), dtype=float)

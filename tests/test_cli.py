@@ -68,6 +68,18 @@ def test_run_grid_too_small_for_stencil_order_is_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_run_unwritable_out_dir_is_config_error(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory\n")
+    cfg = _cfg(tmp_path, 'scenario.name = "uniform_rest"\nnumerics.t_end = 0\n')
+    argv = ["run", "--config", cfg, "--out-dir", str(blocker / "sub")]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("output error:")
+    assert "Traceback" not in err
+    assert blocker.read_text() == "not a directory\n"
+
+
 def test_run_fixed_point_row_count_and_mass(tmp_path, capsys):
     # ten CFL steps: nine whole ones plus a clipped final step
     dt = 0.4 * (TWO_PI / 16) / np.sqrt(5.0 / 3.0)

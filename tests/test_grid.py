@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from modmhd import GridSpec
-from modmhd.grid import full_scalar, full_vector, validate_scalar, validate_vector, zeros_vector
+from modmhd.grid import full_vector, zeros_vector
 
 from conftest import TWO_PI, cube
 
@@ -62,19 +62,7 @@ def test_require_order():
 def test_field_constructors():
     g = cube(8)
     x, _, _ = g.meshes()
-    s = full_scalar(g, np.sin(x))
-    assert s.shape == g.shape
     v = full_vector(g, (np.sin(x), 0.0, 1.0))
     assert v.shape == g.vshape
     assert np.all(v[2] == 1.0)
     assert np.all(zeros_vector(g) == 0.0)
-
-
-def test_validators():
-    g = cube(8)
-    validate_scalar(g, np.zeros(g.shape))
-    validate_vector(g, np.zeros(g.vshape))
-    with pytest.raises(ValueError):
-        validate_scalar(g, np.zeros((8, 8, 4)), "rho")
-    with pytest.raises(ValueError):
-        validate_vector(g, np.zeros(g.shape), "v")

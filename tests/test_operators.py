@@ -157,10 +157,8 @@ def test_integrate_sine_is_zero():
 def test_norms():
     g = cube(8)
     s = np.ones(g.shape)
-    n = ops.norms(s, g)
-    assert n.max == 1.0
-    assert n.l2 == pytest.approx(np.sqrt(TWO_PI ** 3), rel=1e-14)
-    assert ops.l2_norm(s, g) == n.l2
+    assert ops.max_norm(s) == 1.0
+    assert ops.l2_norm(s, g) == pytest.approx(np.sqrt(TWO_PI ** 3), rel=1e-14)
     assert ops.max_norm(-2.0 * s) == 2.0
 
 
@@ -171,6 +169,65 @@ def test_dot_and_cross():
     assert ops.max_norm(ops.dot(u, ops.cross(u, v))) < 1e-13
     w = ops.cross(u, v)
     assert ops.max_norm(w + ops.cross(v, u)) == 0.0
+
+
+# -- slice kernels against the np.roll formulas ------------------------------
+
+def _roll_d1(f, axis, h, order):
+    if order == 2:
+        return (np.roll(f, -1, axis) - np.roll(f, 1, axis)) / (2.0 * h)
+    return (
+        8.0 * (np.roll(f, -1, axis) - np.roll(f, 1, axis))
+        - (np.roll(f, -2, axis) - np.roll(f, 2, axis))
+    ) / (12.0 * h)
+
+
+def _roll_d2(f, axis, h, order):
+    if order == 2:
+        return (np.roll(f, -1, axis) + np.roll(f, 1, axis) - 2.0 * f) / (h * h)
+    return (
+        -(np.roll(f, -2, axis) + np.roll(f, 2, axis))
+        + 16.0 * (np.roll(f, -1, axis) + np.roll(f, 1, axis))
+        - 30.0 * f
+    ) / (12.0 * h * h)
+
+
+def _kernel_inputs(n):
+    """Fields with an axis of length n: contiguous, a component view, transposed."""
+    v = np.random.default_rng(n).standard_normal((3, n, n, n))
+    w = np.random.default_rng(n + 100).standard_normal((3, 5, n, 6))
+    return (v[0], v[1], v[2].T, w[1].transpose(1, 2, 0))
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_slice_kernels_match_roll_bitwise(order):
+    # n = 4 at order 4 has fewer points than the 5-point stencil
+    h = 0.3
+    for n in range(4, 10):
+        for f in _kernel_inputs(n):
+            for axis in range(3):
+                if f.shape[axis] != n:
+                    continue
+                d1 = ops._d1(f, axis, h, order)
+                assert np.array_equal(d1, _roll_d1(f, axis, h, order))
+                d2 = ops._d2(f, axis, h, order)
+                assert np.array_equal(d2, _roll_d2(f, axis, h, order))
+
+
+def test_slice_kernel_rejects_axis_shorter_than_stencil():
+    with pytest.raises(ValueError):
+        ops._d1(np.ones((3, 8, 8)), 0, 1.0, 4)
+    with pytest.raises(ValueError):
+        ops._d1(np.ones((8, 8, 8)), 0, 1.0, 3)
+
+
+def test_cross_matches_numpy_bitwise():
+    rng = np.random.default_rng(5)
+    u = rng.standard_normal((3, 6, 5, 4))
+    v = rng.standard_normal((3, 6, 5, 4))
+    assert np.array_equal(ops.cross(u, v), np.cross(u, v, axis=0))
+    w = rng.standard_normal((3, 4, 5, 6)).transpose(0, 3, 2, 1)
+    assert np.array_equal(ops.cross(u, w), np.cross(u, w, axis=0))
 
 
 # -- convergence under grid doubling ----------------------------------------

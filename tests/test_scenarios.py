@@ -22,6 +22,7 @@ from modmhd import (
     sound_wave,
     uniform_rest,
 )
+from modmhd.scenarios import _mms_eval, _mms_functions
 
 from conftest import TWO_PI, cube, slab
 
@@ -262,6 +263,23 @@ def test_manufactured_residual_converges(formulation):
         errs.append(resid)
         spacings.append(g.hx)
     assert fit_order(spacings, errs) == pytest.approx(2.0, abs=0.35)
+
+
+@pytest.mark.parametrize("formulation", list(Formulation))
+@pytest.mark.parametrize("pack", ["state", "source"])
+def test_mms_eval_on_meshes_matches_full_grid_evaluation(formulation, pack):
+    # the closed forms are evaluated on the broadcastable (n,1,1)/(1,n,1)/
+    # (1,1,n) meshes; that must give the same bits as full-grid coordinates
+    g = cube(16)
+    funcs = _mms_functions(formulation, 5.0 / 3.0, 1.0)[pack]
+    full = np.broadcast_arrays(*g.meshes())
+    ref = [np.broadcast_to(np.asarray(f(*full, 0.3), dtype=float), g.shape)
+           for f in funcs]
+    mag, v, rho, p = _mms_eval(funcs, g, 0.3)
+    assert np.array_equal(mag, np.stack(ref[0:3]))
+    assert np.array_equal(v, np.stack(ref[3:6]))
+    assert np.array_equal(rho, ref[6])
+    assert np.array_equal(p, ref[7])
 
 
 def test_manufactured_fields_are_positive():
