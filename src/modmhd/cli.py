@@ -85,6 +85,9 @@ def cmd_run(cfg: RunConfig) -> int:
     case = cfg.build_case()
     params = cfg.phys()
     out_dir = cfg.out_dir
+    # a config error leaves no output, so check it before writing config.txt
+    case.state.grid.require_order(params.stencil_order)
+    _write_text(os.path.join(out_dir, "config.txt"), serialize_config(cfg))
 
     on_step = None
     if cfg.snapshot_every > 0:

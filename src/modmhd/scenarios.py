@@ -167,9 +167,15 @@ def random_solenoidal(
 ) -> CaseSetup:
     """Seeded band-limited random potential and velocity on a mean field.
 
-    A and v are explicit sums of cos/sin modes with |k_i| <= k_max drawn
-    from one generator in a fixed lexicographic mode order (A coefficients
-    first, then v), so states are bitwise reproducible.  A is then
+    A and v are sums of cos/sin modes over the integer mode numbers
+    |m_i| <= k_max at wavenumbers k_i = 2 pi m_i / L_i, so both fields are
+    periodic and band-limited on any box.  The coefficients come from one
+    generator in a fixed lexicographic mode order (A first, then v), with
+    weight amplitude / (1 + |m|^2), so a seed always gives the same state.
+    The sum is evaluated one axis at a time, as
+    Re sum_m (c0 - i c1) e^{i kx x} e^{i ky y} e^{i kz z}; its bits differ
+    by roundoff from versions that summed full-grid cos/sin per mode (on
+    2 pi boxes, where the modes are the same).  A is then
     Helmholtz-projected; the traditional twin takes H = discrete curl(A),
     making its divergence a roundoff quantity by construction.
     """
@@ -177,7 +183,6 @@ def random_solenoidal(
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     rng = np.random.default_rng(seed)
-    x, y, z = grid.meshes()
 
     kset = [
         (i, j, l)
@@ -186,16 +191,27 @@ def random_solenoidal(
         for l in range(-k_max, k_max + 1)
         if (i, j, l) != (0, 0, 0)
     ]
+    # one table e^{i k_m x_n} per axis, rows m = -k_max..k_max
+    modes = np.arange(-k_max, k_max + 1)
+    tx, ty, tz = (
+        np.exp(1j * np.multiply.outer((2.0 * math.pi / length) * modes, xs))
+        for length, xs in zip((grid.lx, grid.ly, grid.lz), grid.coords())
+    )
 
     def draw_field() -> np.ndarray:
-        field = np.zeros(grid.vshape)
-        for kv in kset:
-            phase = kv[0] * x + kv[1] * y + kv[2] * z
-            weight = amplitude / (1.0 + float(np.dot(kv, kv)))
-            coef = rng.standard_normal((2, 3)) * weight
-            cosp, sinp = np.cos(phase), np.sin(phase)
-            for c in range(3):
-                field[c] += coef[0, c] * cosp + coef[1, c] * sinp
+        coef = np.zeros((3,) + (2 * k_max + 1,) * 3, dtype=complex)
+        for i, j, l in kset:
+            weight = amplitude / (1.0 + float(i * i + j * j + l * l))
+            c0, c1 = rng.standard_normal((2, 3)) * weight
+            coef[:, i + k_max, j + k_max, l + k_max] = c0 - 1j * c1
+        # sum z, then y, on (m, ., .) arrays; the x sum keeps only the real
+        # part, so no full-grid complex array is made.  einsum rather than
+        # tensordot: BLAS's first matrix product grows peak RSS by ~0.7 MB.
+        field = np.empty(grid.vshape)
+        for c in range(3):
+            t = np.einsum("ijz,jy->iyz", np.einsum("ijl,lz->ijz", coef[c], tz), ty)
+            np.einsum("ix,iyz->xyz", tx.real, t.real, out=field[c])
+            field[c] -= np.einsum("ix,iyz->xyz", tx.imag, t.imag)
         return field
 
     a = draw_field()
@@ -218,22 +234,25 @@ def orszag_tang_like(
     a0: float = 0.2,
     v0: float = 0.2,
 ) -> CaseSetup:
-    """2D-in-3D vortex: A_z = a0 (cos 2y / 2 + cos x), v = v0 (-sin y, sin x, 0).
+    """2D-in-3D vortex on the box's fundamental wavenumbers kx, ky = 2 pi / L.
 
-    The standard nonlinear comparison workload between the two force laws;
-    z-derivatives vanish identically at t = 0.
+    A_z = a0 (cos(2 ky y) / 2 + cos(kx x)), v = v0 (-sin(ky y), sin(kx x), 0),
+    periodic on any box; on a 2 pi box this is cos 2y / 2 + cos x and so
+    on.  The standard nonlinear comparison workload between the two force
+    laws; z-derivatives vanish identically at t = 0.
     """
     _check_positive(rho0=rho0, p0=p0)
     x, y, _ = grid.meshes()
+    kx, ky = 2.0 * math.pi / grid.lx, 2.0 * math.pi / grid.ly
     a = np.zeros(grid.vshape)
-    a[2] = a0 * (np.cos(2.0 * y) / 2.0 + np.cos(x))
+    a[2] = a0 * (np.cos(2.0 * ky * y) / 2.0 + np.cos(kx * x))
     # hand-derived curl: H = (dAz/dy, -dAz/dx, 0)
     h = np.zeros(grid.vshape)
-    h[0] = -a0 * np.sin(2.0 * y)
-    h[1] = a0 * np.sin(x)
+    h[0] = -a0 * ky * np.sin(2.0 * ky * y)
+    h[1] = a0 * kx * np.sin(kx * x)
     v = np.zeros(grid.vshape)
-    v[0] = -v0 * np.sin(y)
-    v[1] = v0 * np.sin(x)
+    v[0] = -v0 * np.sin(ky * y)
+    v[1] = v0 * np.sin(kx * x)
 
     state = _mag_state(
         grid, formulation, v, np.full(grid.shape, rho0), np.full(grid.shape, p0),

@@ -1,11 +1,12 @@
 """End-to-end command line behavior, exercised in-process."""
 
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
 
-from modmhd import cli, read_snapshot
+from modmhd import cli, parse_config, read_snapshot
 from modmhd.diagnostics import CSV_COLUMNS
 
 TWO_PI = 6.283185307179586
@@ -123,6 +124,24 @@ def test_run_is_bitwise_deterministic(tmp_path, capsys):
     assert f1 == f2
 
 
+def test_run_config_txt_reproduces_the_run(tmp_path, capsys):
+    body = (
+        'scenario.name = "random_solenoidal"\n'
+        "seed = 5\n"
+        "numerics.t_end = 0.2\n"
+        "numerics.snapshot_every = 2\n"
+    )
+    cfg = _cfg(tmp_path, body)
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert cli.main(["run", "--config", cfg, "--out-dir", str(first)]) == 0
+    resolved = dataclasses.replace(parse_config(open(cfg).read()), out_dir=str(first))
+    assert parse_config((first / "config.txt").read_text()) == resolved
+    assert cli.main(["run", "--config", str(first / "config.txt"),
+                     "--out-dir", str(again)]) == 0
+    for name in ("final.bin", "diagnostics.csv"):
+        assert (first / name).read_bytes() == (again / name).read_bytes()
+
+
 def test_run_snapshot_cadence(tmp_path):
     dt = 0.4 * (TWO_PI / 16) / np.sqrt(5.0 / 3.0)
     body = (
@@ -155,6 +174,18 @@ def test_run_numerical_failure_flushes_partial_rows(tmp_path, capsys):
     rows = _read_rows(out / "diagnostics.csv")
     assert len(rows) > 2          # partial history survived the abort
     assert 0.0 < float(rows[-1]["t"]) < 6.0
+
+
+def test_run_numerical_failure_keeps_config_txt(tmp_path, capsys):
+    body = ('scenario.name = "sound_wave"\nformulation = traditional\n'
+            "scenario.delta = 0.5\nnumerics.t_end = 6.0\n")
+    cfg = _cfg(tmp_path, body)
+    out = tmp_path / "out"
+    argv = ["run", "--config", cfg, "--out-dir", str(out),
+            "--set", "grid.nx=32", "--set", "grid.ny=4", "--set", "grid.nz=4"]
+    assert cli.main(argv) == cli.EXIT_NUMERICAL
+    written = parse_config((out / "config.txt").read_text())
+    assert (written.nx, written.scenario, written.t_end) == (32, "sound_wave", 6.0)
 
 
 def test_identities_pass_and_write_csv(tmp_path, capsys):

@@ -22,6 +22,7 @@ from modmhd import (
     sound_wave,
     uniform_rest,
 )
+from modmhd.projection import helmholtz_project
 from modmhd.scenarios import _mms_eval, _mms_functions
 
 from conftest import TWO_PI, cube, slab
@@ -191,6 +192,60 @@ def test_random_solenoidal_validation():
         random_solenoidal(cube(8), k_max=0)
 
 
+def _reference_random_fields(grid, amplitude, k_max, seed):
+    """A and v as explicit cos/sin sums over the modes, one full grid per mode."""
+    rng = np.random.default_rng(seed)
+    x, y, z = grid.meshes()
+    kset = [(i, j, l)
+            for i in range(-k_max, k_max + 1)
+            for j in range(-k_max, k_max + 1)
+            for l in range(-k_max, k_max + 1)
+            if (i, j, l) != (0, 0, 0)]
+
+    def draw_field():
+        field = np.zeros(grid.vshape)
+        for i, j, l in kset:
+            phase = (2.0 * np.pi * i / grid.lx * x + 2.0 * np.pi * j / grid.ly * y
+                     + 2.0 * np.pi * l / grid.lz * z)
+            coef = rng.standard_normal((2, 3)) * (amplitude / (1.0 + (i * i + j * j + l * l)))
+            for c in range(3):
+                field[c] += coef[0, c] * np.cos(phase) + coef[1, c] * np.sin(phase)
+        return field
+
+    return draw_field(), draw_field()      # A first, then v
+
+
+NON_2PI_GRID = GridSpec(12, 10, 9, 1.0, 2.5, 7.0)
+
+
+# on the 4-point axes the |m| = 2 modes alias onto each other
+@pytest.mark.parametrize("grid", [cube(8), NON_2PI_GRID, cube(4)])
+def test_random_solenoidal_matches_mode_loop(grid):
+    a_ref, v_ref = _reference_random_fields(grid, 0.05, 2, seed=11)
+    st = random_solenoidal(grid, amplitude=0.05, k_max=2, seed=11).state
+    a_want, _ = helmholtz_project(a_ref, grid, 2)
+    for got, want in ((st.v, v_ref), (st.a, a_want)):
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def _energy_outside_band(field, k_max):
+    # share of the spectral energy at integer mode numbers |m_i| > k_max
+    spec = np.abs(np.fft.fftn(field, axes=(-3, -2, -1))) ** 2
+    m = [np.abs(np.fft.fftfreq(n, 1.0 / n)) for n in field.shape[-3:]]
+    inside = ((m[0][:, None, None] <= k_max) & (m[1][None, :, None] <= k_max)
+              & (m[2][None, None, :] <= k_max))
+    return spec[..., ~inside].sum() / spec.sum()
+
+
+def test_scenarios_are_band_limited_on_any_box():
+    g = NON_2PI_GRID
+    for form in Formulation:
+        rs = random_solenoidal(g, form, k_max=2).state
+        ot = orszag_tang_like(g, form).state
+        for field in (rs.mag, rs.v, ot.mag, ot.v):
+            assert _energy_outside_band(field, 2) <= 1e-28
+
+
 def test_random_solenoidal_traditional_variant():
     g = cube(16)
     st = random_solenoidal(g, Formulation.TRADITIONAL).state
@@ -217,6 +272,23 @@ def test_orszag_tang_field_matches_potential():
         errs.append(ops.max_norm(ops.curl(a, g) - st.h))
         spacings.append(g.hx)
     assert fit_order(spacings, errs) == pytest.approx(2.0, abs=0.3)
+
+
+def test_orszag_tang_on_2pi_box_is_unchanged():
+    # on a 2 pi box the wavenumbers are exactly 1, so the fields keep the
+    # bits of the plain cos x / cos 2y formulas
+    g = cube(16)
+    x, y, _ = g.meshes()
+    a0, v0 = 0.2, 0.3
+    a = orszag_tang_like(g, Formulation.MODIFIED, a0=a0, v0=v0).state
+    h = orszag_tang_like(g, Formulation.TRADITIONAL, a0=a0, v0=v0).state
+    assert np.array_equal(a.a[2], np.broadcast_to(
+        a0 * (np.cos(2.0 * y) / 2.0 + np.cos(x)), g.shape))
+    assert np.array_equal(h.h[0], np.broadcast_to(-a0 * np.sin(2.0 * y), g.shape))
+    assert np.array_equal(h.h[1], np.broadcast_to(a0 * np.sin(x), g.shape))
+    assert np.array_equal(a.v[0], np.broadcast_to(-v0 * np.sin(y), g.shape))
+    assert np.array_equal(a.v[1], np.broadcast_to(v0 * np.sin(x), g.shape))
+    assert not a.a[:2].any() and not h.h[2].any() and not a.v[2].any()
 
 
 def test_orszag_tang_mass():
