@@ -336,20 +336,9 @@ class ConvergenceResult:
 
 def state_error(state: SimState, reference: SimState) -> float:
     """Volume-weighted L2 distance between two states, all fields pooled."""
-    g = state.grid
-    parts = [
-        ops.l2_norm(state.mag - reference.mag, g),
-        ops.l2_norm(state.v - reference.v, g),
-        ops.l2_norm(state.rho - reference.rho, g),
-        ops.l2_norm(state.p - reference.p, g),
-    ]
+    parts = [ops.l2_norm(f - r, state.grid)
+             for f, r in zip(state.fields, reference.fields)]
     return float(np.sqrt(sum(e * e for e in parts)))
-
-
-def _restrict(arr: np.ndarray, factor: int) -> np.ndarray:
-    if arr.ndim == 4:
-        return arr[:, ::factor, ::factor, ::factor]
-    return arr[::factor, ::factor, ::factor]
 
 
 def convergence_study(
@@ -388,13 +377,11 @@ def convergence_study(
         mode = "exact"
     else:
         for coarse, fine in zip(finals[:-1], finals[1:]):
-            factor = fine.grid.nx // coarse.grid.nx
-            if factor * coarse.grid.nx != fine.grid.nx:
+            k = fine.grid.nx // coarse.grid.nx
+            if k * coarse.grid.nx != fine.grid.nx:
                 raise ValueError("resolutions must nest for the two-grid comparison")
             ref = coarse.with_fields(
-                _restrict(fine.mag, factor), _restrict(fine.v, factor),
-                _restrict(fine.rho, factor), _restrict(fine.p, factor),
-                coarse.t,
+                *(f[..., ::k, ::k, ::k] for f in fine.fields), coarse.t
             )
             errors.append(state_error(coarse, ref))
             spacings.append(coarse.grid.min_spacing)

@@ -15,7 +15,6 @@ import argparse
 import dataclasses
 import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -28,7 +27,7 @@ from .diagnostics import CSV_COLUMNS
 from .dispersion import UniformBackground, dispersion, oracle_omegas
 from .dynamics import SimulationError, run
 from .params import Formulation
-from .scenarios import SCENARIO_DEFAULTS, build_scenario
+from .scenarios import SCENARIO_DEFAULTS
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -43,17 +42,8 @@ def _fmt(x) -> str:
 
 
 def _write_text(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(prefix=".tmp-", dir=directory, text=True)
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    snap.atomic_write(path, text.encode())
 
 
 def _write_csv(path: str, header, rows) -> None:
@@ -181,14 +171,9 @@ def cmd_convergence(cfg: RunConfig) -> int:
     form = cfg.formulation_enum()
 
     def factory(n):
-        grid = cfg.grid()
         scale = n / cfg.nx
-        sized = type(grid)(n, max(4, round(cfg.ny * scale)),
-                           max(4, round(cfg.nz * scale)),
-                           cfg.lx, cfg.ly, cfg.lz)
-        return build_scenario(cfg.scenario, sized, form, cfg.scenario_params,
-                              gamma=cfg.gamma, c=cfg.c, seed=cfg.seed,
-                              order=cfg.stencil_order)
+        return dataclasses.replace(cfg, nx=n, ny=max(4, round(cfg.ny * scale)),
+                                   nz=max(4, round(cfg.nz * scale))).build_case()
 
     try:
         result = convergence_study(factory, cfg.convergence_resolutions,
@@ -273,9 +258,6 @@ def main(argv=None) -> int:
         if args.command == "dispersion":
             return cmd_dispersion(cfg)
         return cmd_convergence(cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

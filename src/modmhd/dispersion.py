@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import Rhs, compute_rhs
+from .dynamics import compute_rhs
 from .electromagnetics import FOUR_PI, BackgroundPotential
 from .grid import GridSpec
 from .operators import modified_wavenumber
@@ -228,25 +228,19 @@ def _jacobian_at(
     n = base.grid.npoints
     trigs = (cosf, sinf)
 
-    def perturbed(comp: int, trig: np.ndarray, sign: float) -> SimState:
-        bump = sign * eps * amps[comp] * trig
-        mag, v = base.mag.copy(), base.v.copy()
-        rho, p = base.rho.copy(), base.p.copy()
-        if comp < 3:
-            mag[comp] += bump
-        elif comp < 6:
-            v[comp - 3] += bump
-        elif comp == 6:
-            rho += bump
-        else:
-            p += bump
-        return base.with_fields(mag, v, rho, p, base.t)
+    def components(fields) -> list[np.ndarray]:
+        """The eight scalar components (mag_x..z, v_x..z, rho, P) as views."""
+        mag, v, rho, p = fields
+        return [*mag, *v, rho, p]
 
-    def extract(rhs) -> np.ndarray:
-        fields = [rhs.mag[0], rhs.mag[1], rhs.mag[2], rhs.v[0], rhs.v[1], rhs.v[2],
-                  rhs.rho, rhs.p]
+    def perturbed(comp: int, trig: np.ndarray, sign: float) -> SimState:
+        fields = [f.copy() for f in base.fields]
+        components(fields)[comp] += sign * eps * amps[comp] * trig
+        return base.with_fields(*fields, base.t)
+
+    def extract(fields) -> np.ndarray:
         out = np.empty(16)
-        for i, f in enumerate(fields):
+        for i, f in enumerate(components(fields)):
             for ph, trig in enumerate(trigs):
                 out[2 * i + ph] = np.sum(f * trig) * (2.0 / n) / amps[i]
         return out
@@ -256,8 +250,7 @@ def _jacobian_at(
         for ph, trig in enumerate(trigs):
             plus = compute_rhs(perturbed(comp, trig, +1.0), params)
             minus = compute_rhs(perturbed(comp, trig, -1.0), params)
-            diff = Rhs(plus.mag - minus.mag, plus.v - minus.v,
-                       plus.rho - minus.rho, plus.p - minus.p)
+            diff = [a - b for a, b in zip(plus, minus)]
             jac[:, 2 * comp + ph] = extract(diff) / (2.0 * eps)
     return jac
 

@@ -35,7 +35,8 @@ from .state import SimState, StateInvalidError, validate_state
 
 FOUR_PI = em.FOUR_PI
 
-#: Time derivative of the evolved fields; mag is dA/dt or dH/dt.
+#: Time derivative of the evolved fields, in ``SimState.fields`` order;
+#: mag is dA/dt or dH/dt.
 Rhs = namedtuple("Rhs", ["mag", "v", "rho", "p"])
 
 
@@ -136,14 +137,11 @@ def step_rk4(
     def deriv(s: SimState, t_stage: float) -> Rhs:
         d = compute_rhs(s, params)
         if source is not None:
-            sa, sv, srho, sp = source(s.grid, t_stage)
-            d = Rhs(d.mag + sa, d.v + sv, d.rho + srho, d.p + sp)
+            d = Rhs(*(f + g for f, g in zip(d, source(s.grid, t_stage))))
         return d
 
     def shift(s: SimState, c: float, k: Rhs) -> SimState:
-        return s.with_fields(
-            s.mag + c * k.mag, s.v + c * k.v, s.rho + c * k.rho, s.p + c * k.p, s.t
-        )
+        return s.with_fields(*(f + c * g for f, g in zip(s.fields, k)), s.t)
 
     t0 = state.t
     k1 = deriv(state, t0)
@@ -153,10 +151,8 @@ def step_rk4(
 
     w = dt / 6.0
     new = state.with_fields(
-        state.mag + w * (k1.mag + 2.0 * k2.mag + 2.0 * k3.mag + k4.mag),
-        state.v + w * (k1.v + 2.0 * k2.v + 2.0 * k3.v + k4.v),
-        state.rho + w * (k1.rho + 2.0 * k2.rho + 2.0 * k3.rho + k4.rho),
-        state.p + w * (k1.p + 2.0 * k2.p + 2.0 * k3.p + k4.p),
+        *(f + w * (a + 2.0 * b + 2.0 * c + d)
+          for f, a, b, c, d in zip(state.fields, k1, k2, k3, k4)),
         t0 + dt,
     )
 

@@ -89,10 +89,6 @@ class GridSpec:
     def cell_volume(self) -> float:
         return self.hx * self.hy * self.hz
 
-    @property
-    def volume(self) -> float:
-        return self.lx * self.ly * self.lz
-
     def require_order(self, order: int) -> None:
         """Raise if the grid cannot support the requested stencil order."""
         if order not in (2, 4):
@@ -117,10 +113,6 @@ class GridSpec:
         """Broadcastable coordinate meshes X (nx,1,1), Y (1,ny,1), Z (1,1,nz)."""
         xs, ys, zs = self.coords()
         return xs[:, None, None], ys[None, :, None], zs[None, None, :]
-
-
-def zeros_vector(grid: GridSpec) -> np.ndarray:
-    return np.zeros(grid.vshape)
 
 
 def full_vector(grid: GridSpec, comps) -> np.ndarray:

@@ -22,39 +22,34 @@ class Formulation(enum.Enum):
 class GaugePolicy:
     """When to re-project A onto div A = 0 during time stepping.
 
-    mode is one of "off", "every_step", "every_n"; projection happens after
-    a completed RK4 step, never inside stages. The drift ||div A||_2 is
-    measured before each projection and reported through diagnostics either
-    way -- with mode "off" it simply accumulates.
+    Projection happens after every ``every``-th completed RK4 step (never
+    inside stages); ``every = 0`` turns it off.  The drift ||div A||_2 is
+    measured before each projection and reported through diagnostics
+    either way -- with projection off it simply accumulates.
     """
 
-    mode: str = "every_step"
     every: int = 1
 
     def __post_init__(self):
-        if self.mode not in ("off", "every_step", "every_n"):
-            raise ValueError(f"unknown gauge mode {self.mode!r}")
-        if self.every < 1:
-            raise ValueError("gauge interval must be >= 1")
+        if self.every < 0:
+            raise ValueError("gauge interval must be >= 0 (0 turns projection off)")
 
     def due(self, completed_steps: int) -> bool:
-        if self.mode == "off":
-            return False
-        if self.mode == "every_step":
-            return True
-        return completed_steps % self.every == 0
+        return self.every > 0 and completed_steps % self.every == 0
 
     @classmethod
     def off(cls) -> "GaugePolicy":
-        return cls(mode="off")
+        return cls(0)
 
     @classmethod
     def every_step(cls) -> "GaugePolicy":
-        return cls(mode="every_step")
+        return cls(1)
 
     @classmethod
     def every_n(cls, n: int) -> "GaugePolicy":
-        return cls(mode="every_n", every=n)
+        if n < 1:
+            raise ValueError("gauge interval must be >= 1")
+        return cls(n)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ fields.  Everything lives on the periodic box.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -263,9 +264,7 @@ def orszag_tang_like(
 
 # --- manufactured solution --------------------------------------------------
 
-_MMS_CACHE: dict = {}
-
-
+@functools.cache
 def _mms_functions(formulation: Formulation, gamma: float, c: float):
     """Closed-form state and source expressions, built symbolically once.
 
@@ -283,9 +282,6 @@ def _mms_functions(formulation: Formulation, gamma: float, c: float):
     coordinate), so the manufactured run is a legitimate Coulomb-gauge
     trajectory.  Sources are S_q = d(q)/dt - RHS(q) evaluated exactly.
     """
-    key = (formulation, float(gamma), float(c))
-    if key in _MMS_CACHE:
-        return _MMS_CACHE[key]
     import sympy as sp
 
     x, y, z, t = sp.symbols("x y z t", real=True)
@@ -348,13 +344,11 @@ def _mms_functions(formulation: Formulation, gamma: float, c: float):
         "state": list(mag_ex) + list(v_ex) + [rho_ex, p_ex],
         "source": list(src_mag) + list(src_v) + [src_rho, src_p],
     }
-    funcs = {
+    return {
         name: [sp.lambdify((x, y, z, t), sp.expand(e), modules="numpy")
                for e in items]
         for name, items in exprs.items()
     }
-    _MMS_CACHE[key] = funcs
-    return funcs
 
 
 def _mms_eval(funcs, grid: GridSpec, t: float):

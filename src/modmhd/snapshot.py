@@ -54,6 +54,24 @@ def _pack_name(name: str) -> bytes:
     return raw.ljust(_NAME_LEN, b"\x00")
 
 
+def atomic_write(path, data: bytes) -> None:
+    """Write ``data`` to ``path`` through a temporary file and a rename.
+
+    Readers see the old file or all of ``data``, never a torn file; the
+    temporary file is removed if anything fails.
+    """
+    directory = os.path.dirname(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(prefix=".tmp-", dir=directory)
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def write_snapshot(path, state: SimState) -> None:
     g = state.grid
     parts = [MAGIC, struct.pack("<I", VERSION),
@@ -75,16 +93,7 @@ def write_snapshot(path, state: SimState) -> None:
         parts.append(_pack_name(name))
         parts.append(np.ascontiguousarray(arr).astype("<f8").tobytes(order="F"))
 
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(prefix=".snapshot-", dir=directory)
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(b"".join(parts))
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    atomic_write(path, b"".join(parts))
 
 
 class _Reader:

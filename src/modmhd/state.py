@@ -30,6 +30,10 @@ class SimState:
     ``bg`` the affine background A0 = M x.  Traditional formulation: ``h``
     holds the periodic magnetic field and ``h0`` a uniform background
     vector.  rho and P must be strictly positive everywhere.
+
+    ``fields`` is the evolved tuple ``(mag, v, rho, p)``; ``with_fields``
+    and ``dynamics.Rhs`` take the same order, so code that acts on every
+    field alike zips over it instead of naming the fields.
     """
 
     grid: GridSpec
@@ -71,6 +75,11 @@ class SimState:
         """The evolved magnetic degree of freedom (a or h)."""
         return self.a if self.formulation is Formulation.MODIFIED else self.h
 
+    @property
+    def fields(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The evolved fields (mag, v, rho, p), in ``with_fields`` order."""
+        return (self.mag, self.v, self.rho, self.p)
+
     def h_total(self, order: int = 2) -> np.ndarray:
         """Total magnetic field including the uniform background."""
         if self.formulation is Formulation.MODIFIED:
@@ -84,24 +93,13 @@ class SimState:
         return replace(self, h=mag, v=v, rho=rho, p=p, t=t)
 
     def copy(self) -> "SimState":
-        kw = dict(v=self.v.copy(), rho=self.rho.copy(), p=self.p.copy())
-        if self.formulation is Formulation.MODIFIED:
-            kw["a"] = self.a.copy()
-        else:
-            kw["h"] = self.h.copy()
-        return replace(self, **kw)
+        return self.with_fields(*(f.copy() for f in self.fields), self.t)
 
 
 def validate_state(state: SimState) -> None:
     """Raise StateInvalidError naming the first offending quantity."""
     mag_name = "A" if state.formulation is Formulation.MODIFIED else "H"
-    checks = (
-        (mag_name, state.mag),
-        ("v", state.v),
-        ("rho", state.rho),
-        ("P", state.p),
-    )
-    for name, arr in checks:
+    for name, arr in zip((mag_name, "v", "rho", "P"), state.fields):
         if not np.isfinite(arr).all():
             raise StateInvalidError(name, f"{name} contains non-finite values")
     if not (state.rho > 0.0).all():

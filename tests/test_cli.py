@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -79,6 +80,18 @@ def test_run_unwritable_out_dir_is_config_error(tmp_path, capsys):
     assert err.startswith("output error:")
     assert "Traceback" not in err
     assert blocker.read_text() == "not a directory\n"
+
+
+def test_run_failed_rename_leaves_no_temporary_file(tmp_path, capsys, monkeypatch):
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    cfg = _cfg(tmp_path, 'scenario.name = "uniform_rest"\nnumerics.t_end = 0\n')
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", cfg, "--out-dir", str(out)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("output error:")
+    assert list(out.iterdir()) == []
 
 
 def test_run_fixed_point_row_count_and_mass(tmp_path, capsys):

@@ -9,6 +9,7 @@ from modmhd import (
     Formulation,
     GaugePolicy,
     PhysParams,
+    Rhs,
     SimState,
     SimulationError,
     StateInvalidError,
@@ -19,6 +20,7 @@ from modmhd import (
     enforce_gauge,
     force_modified,
     h_from_a,
+    manufactured,
     oracle_matrix,
     random_solenoidal,
     rhs_modified,
@@ -76,6 +78,21 @@ def test_validate_names_offender():
     with pytest.raises(StateInvalidError) as info:
         validate_state(st)
     assert info.value.quantity == "P"
+
+
+@pytest.mark.parametrize("formulation", list(Formulation))
+def test_state_fields_order(formulation):
+    st = random_solenoidal(cube(8), formulation).state
+    assert all(f is g for f, g in zip(st.fields, (st.mag, st.v, st.rho, st.p)))
+    rhs = compute_rhs(st, PhysParams())
+    assert [f.shape for f in st.fields] == [d.shape for d in rhs]
+    same = st.with_fields(*st.fields, st.t)
+    assert all(a is b for a, b in zip(same.fields, st.fields))
+    assert same.t == st.t
+    dup = st.copy()
+    for f, g in zip(dup.fields, st.fields):
+        assert not np.shares_memory(f, g)
+        assert np.array_equal(f, g)
 
 
 # -- RHS oracles ---------------------------------------------------------------
@@ -242,6 +259,57 @@ def test_rk4_matches_matrix_exponential_to_dt5():
 
 # -- gauge handling --------------------------------------------------------------
 
+def _rk4_field_by_field(state, dt, params, source=None):
+    """Classical RK4 with every field written out by name."""
+    def deriv(s, t):
+        d = compute_rhs(s, params)
+        if source is not None:
+            sa, sv, srho, sp = source(s.grid, t)
+            d = Rhs(d.mag + sa, d.v + sv, d.rho + srho, d.p + sp)
+        return d
+
+    def shift(s, c, k):
+        return s.with_fields(s.mag + c * k.mag, s.v + c * k.v,
+                             s.rho + c * k.rho, s.p + c * k.p, s.t)
+
+    t0 = state.t
+    k1 = deriv(state, t0)
+    k2 = deriv(shift(state, 0.5 * dt, k1), t0 + 0.5 * dt)
+    k3 = deriv(shift(state, 0.5 * dt, k2), t0 + 0.5 * dt)
+    k4 = deriv(shift(state, dt, k3), t0 + dt)
+    w = dt / 6.0
+    return state.with_fields(
+        state.mag + w * (k1.mag + 2.0 * k2.mag + 2.0 * k3.mag + k4.mag),
+        state.v + w * (k1.v + 2.0 * k2.v + 2.0 * k3.v + k4.v),
+        state.rho + w * (k1.rho + 2.0 * k2.rho + 2.0 * k3.rho + k4.rho),
+        state.p + w * (k1.p + 2.0 * k2.p + 2.0 * k3.p + k4.p),
+        t0 + dt,
+    )
+
+
+@pytest.mark.parametrize("scenario,formulation", [
+    ("random_solenoidal", Formulation.MODIFIED),
+    ("random_solenoidal", Formulation.TRADITIONAL),
+    ("manufactured", Formulation.MODIFIED),
+    ("manufactured", Formulation.TRADITIONAL),
+])
+def test_step_rk4_matches_written_out_combination_bitwise(scenario, formulation):
+    if scenario == "random_solenoidal":
+        case = random_solenoidal(cube(16), formulation, seed=3)
+    else:
+        case = manufactured(cube(8), formulation)
+    params = PhysParams(gauge=GaugePolicy.off())
+    got = want = case.state
+    for k in range(2):
+        dt = cfl_dt(got, params)
+        got, drift = step_rk4(got, dt, params, source=case.source, step_index=k)
+        want = _rk4_field_by_field(want, dt, params, source=case.source)
+        assert drift is None
+        assert got.t == want.t
+        for f, g in zip(got.fields, want.fields):
+            assert np.array_equal(f, g)
+
+
 def test_enforce_gauge_removes_injected_gradient():
     g = cube(16)
     x, _, _ = g.meshes()
@@ -289,6 +357,15 @@ def test_gauge_policy_dispatch_in_step():
     assert drift is None
     _, drift = step_rk4(case.state, 1e-3, p_n, step_index=2)   # step 3 of 3
     assert drift is not None
+
+
+def test_gauge_policy_is_one_interval():
+    assert GaugePolicy.every_step() == GaugePolicy.every_n(1) == GaugePolicy()
+    assert not any(GaugePolicy.off().due(k) for k in range(6))
+    with pytest.raises(ValueError):
+        GaugePolicy.every_n(0)
+    with pytest.raises(ValueError):
+        GaugePolicy(-1)
 
 
 # -- run() ------------------------------------------------------------------------
