@@ -12,7 +12,6 @@ fields.  Everything lives on the periodic box.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -22,7 +21,7 @@ import numpy as np
 
 from . import operators as ops
 from .electromagnetics import FOUR_PI, BackgroundPotential
-from .grid import GridSpec
+from .grid import GridSpec, full_vector
 from .params import Formulation
 from .projection import helmholtz_project
 from .state import SimState
@@ -264,105 +263,17 @@ def orszag_tang_like(
 
 # --- manufactured solution --------------------------------------------------
 
-@functools.cache
-def _mms_functions(formulation: Formulation, gamma: float, c: float):
-    """Closed-form state and source expressions, built symbolically once.
+def _d_exact(f: np.ndarray, axis: int, length: float) -> np.ndarray:
+    """Periodic d/dx along one axis by FFT, exact for mode numbers |m| < n/2.
 
-    The chosen fields exercise every RHS term: nonzero advection,
-    compression, pressure gradient, induction, and the potential force
-    (through both the periodic A and the mean-field matrix M):
-
-        A   = 0.15 cos(t) (sin y cos z, sin z cos x, sin x cos y)
-        v   = 0.2 (1 + sin(t)/2) (sin x cos y, sin y cos z, sin z cos x)
-        rho = 1 + 0.2 cos(t) sin x cos y
-        P   = 1 + 0.15 cos(t + 1/2) cos x sin y
-        H0  = (0.3, 0, 0)
-
-    A is exactly solenoidal (each component is independent of its own
-    coordinate), so the manufactured run is a legitimate Coulomb-gauge
-    trajectory.  Sources are S_q = d(q)/dt - RHS(q) evaluated exactly.
+    The even-n Nyquist mode is zeroed; a length-1 (broadcast) axis gives 0.
     """
-    import sympy as sp
-
-    x, y, z, t = sp.symbols("x y z t", real=True)
-    xyz = (x, y, z)
-
-    def s_grad(f):
-        return sp.Matrix([sp.diff(f, q) for q in xyz])
-
-    def s_div(F):
-        return sum(sp.diff(F[i], xyz[i]) for i in range(3))
-
-    def s_curl(F):
-        return sp.Matrix([
-            sp.diff(F[2], y) - sp.diff(F[1], z),
-            sp.diff(F[0], z) - sp.diff(F[2], x),
-            sp.diff(F[1], x) - sp.diff(F[0], y),
-        ])
-
-    def s_advect(V, W):
-        return sp.Matrix([
-            sum(V[k] * sp.diff(W[i], xyz[k]) for k in range(3)) for i in range(3)
-        ])
-
-    h0x = sp.Rational(3, 10)
-    h0 = sp.Matrix([h0x, 0, 0])
-    m_bg = sp.Matrix([[0, 0, 0], [0, 0, -h0x / 2], [0, h0x / 2, 0]])
-
-    a_ex = sp.Rational(3, 20) * sp.cos(t) * sp.Matrix(
-        [sp.sin(y) * sp.cos(z), sp.sin(z) * sp.cos(x), sp.sin(x) * sp.cos(y)])
-    v_ex = sp.Rational(1, 5) * (1 + sp.sin(t) / 2) * sp.Matrix(
-        [sp.sin(x) * sp.cos(y), sp.sin(y) * sp.cos(z), sp.sin(z) * sp.cos(x)])
-    rho_ex = 1 + sp.Rational(1, 5) * sp.cos(t) * sp.sin(x) * sp.cos(y)
-    p_ex = 1 + sp.Rational(3, 20) * sp.cos(t + sp.Rational(1, 2)) * sp.cos(x) * sp.sin(y)
-
-    gam = sp.Float(gamma, 17)
-    c_sym = sp.Float(c, 17)
-    h_tot = s_curl(a_ex) + h0
-    grad_p = s_grad(p_ex)
-
-    if formulation is Formulation.MODIFIED:
-        mag_ex = a_ex
-        d_mag = v_ex.cross(h_tot)
-        j = (c_sym / (4 * sp.pi)) * s_curl(s_curl(a_ex))
-        force = -(s_advect(j, a_ex) + m_bg * j) / c_sym
-    else:
-        mag_ex = s_curl(a_ex)          # fluctuation; h0 is carried separately
-        d_mag = s_curl(v_ex.cross(h_tot))
-        force = s_curl(mag_ex).cross(h_tot) / (4 * sp.pi)
-
-    d_v = -s_advect(v_ex, v_ex) - grad_p / rho_ex + force / rho_ex
-    d_rho = -s_div(rho_ex * v_ex)
-    d_p = -sum(v_ex[i] * grad_p[i] for i in range(3)) - gam * p_ex * s_div(v_ex)
-
-    src_mag = sp.diff(mag_ex, t) - d_mag
-    src_v = sp.diff(v_ex, t) - d_v
-    src_rho = sp.diff(rho_ex, t) - d_rho
-    src_p = sp.diff(p_ex, t) - d_p
-
-    exprs = {
-        "state": list(mag_ex) + list(v_ex) + [rho_ex, p_ex],
-        "source": list(src_mag) + list(src_v) + [src_rho, src_p],
-    }
-    return {
-        name: [sp.lambdify((x, y, z, t), sp.expand(e), modules="numpy")
-               for e in items]
-        for name, items in exprs.items()
-    }
-
-
-def _mms_eval(funcs, grid: GridSpec, t: float):
-    """Evaluate a lambdified 8-pack on the grid -> (mag, v, rho, p) arrays."""
-    xm, ym, zm = grid.meshes()
-    vals = []
-    for f in funcs:
-        r = np.asarray(f(xm, ym, zm, t), dtype=float)
-        if r.shape != grid.shape:
-            r = np.broadcast_to(r, grid.shape).copy()
-        vals.append(r)
-    mag = np.stack(vals[0:3])
-    v = np.stack(vals[3:6])
-    return mag, v, vals[6], vals[7]
+    n = f.shape[axis]
+    ik = (2j * math.pi / length) * np.arange(n // 2 + 1)
+    if n % 2 == 0:
+        ik[-1] = 0.0
+    ik = ik.reshape([-1 if i == axis else 1 for i in range(f.ndim)])
+    return np.fft.irfft(np.fft.rfft(f, axis=axis) * ik, n, axis)
 
 
 def manufactured(
@@ -373,17 +284,102 @@ def manufactured(
 ) -> CaseSetup:
     """Manufactured-solution case: exact fields plus the matching sources.
 
-    ``gamma`` and ``c`` must equal the run's physics parameters -- the
-    sources bake them in.
+    With s_x = sin(2 pi x / Lx), c_x = cos(2 pi x / Lx) and likewise in y
+    and z, the fields are periodic on any box and exercise every RHS term
+    (advection, compression, pressure, induction, and the potential force
+    through both the periodic A and the mean-field matrix M):
+
+        A   = 0.15 cos(t) (s_y c_z, s_z c_x, s_x c_y)
+        v   = 0.2 (1 + sin(t)/2) (s_x c_y, s_y c_z, s_z c_x)
+        rho = 1 + 0.2 cos(t) s_x c_y
+        P   = 1 + 0.15 cos(t + 1/2) c_x s_y
+        H0  = (0.3, 0, 0)
+
+    A is exactly solenoidal, so the run is a Coulomb-gauge trajectory; the
+    traditional twin evolves H = curl A.  The source S_q = dq/dt - RHS(q) is
+    the continuum RHS in product-rule form, independent of ``dynamics`` and
+    the stencils: each field is a time factor times a spatial shape, whose
+    derivatives are exact FFT derivatives taken once per case.  ``gamma``
+    and ``c`` must equal the run's physics parameters; ``exact`` and
+    ``source`` accept only ``grid``.
     """
-    funcs = _mms_functions(formulation, gamma, c)
+    lengths = (grid.lx, grid.ly, grid.lz)
+    phase = [(2.0 * math.pi / L) * x for L, x in zip(lengths, grid.meshes())]
+    s, co = [np.sin(a) for a in phase], [np.cos(a) for a in phase]
+
+    def grad(f):
+        return [_d_exact(f, i, L) for i, L in enumerate(lengths)]
+
+    def curl(u):
+        d = [grad(ui) for ui in u]         # d[i][k] = d_k u_i
+        return [d[2][1] - d[1][2], d[0][2] - d[2][0], d[1][0] - d[0][1]]
+
+    def dot(u, w):
+        return sum(ui * wi for ui, wi in zip(u, w))
+
+    def along(u, w):                       # (u . grad) w
+        return [dot(u, grad(wi)) for wi in w]
+
+    def cross(u, w):
+        return [u[1] * w[2] - u[2] * w[1], u[2] * w[0] - u[0] * w[2],
+                u[0] * w[1] - u[1] * w[0]]
+
+    h0 = (0.3, 0.0, 0.0)
+    a_hat = [s[1] * co[2], s[2] * co[0], s[0] * co[1]]
+    v_hat = [s[0] * co[1], s[1] * co[2], s[2] * co[0]]
+    rho_hat, p_hat = s[0] * co[1], co[0] * s[1]
+    h_hat = curl(a_hat)
+    curl_h = curl(h_hat)
+    div_v = sum(grad(vi)[i] for i, vi in enumerate(v_hat))
+    grad_p = grad(p_hat)
+    v_grad_rho, v_grad_p = dot(v_hat, grad(rho_hat)), dot(v_hat, grad_p)
+    # with A = alpha a_hat and v = beta v_hat, dmag/dt - RHS_mag is
+    # alpha' mag_hat - alpha beta x1 - beta x0; the force is alpha^2 f2 + alpha f1
+    if formulation is Formulation.MODIFIED:
+        mag_hat = a_hat
+        x1, x0 = cross(v_hat, h_hat), cross(v_hat, h0)
+        # f = -[(j.grad)A + M j]/c with j = (c/4pi) curl H and M j = (H0 x j)/2
+        j_hat = [(c / FOUR_PI) * g for g in curl_h]
+        f2 = [-g / c for g in along(j_hat, a_hat)]
+        f1 = [-0.5 * g / c for g in cross(h0, j_hat)]
+    else:
+        # curl(v x H_tot) = (H_tot.grad)v - (v.grad)H - H_tot div v
+        mag_hat = h_hat
+        x1 = [a - b - h * div_v for a, b, h in
+              zip(along(h_hat, v_hat), along(v_hat, h_hat), h_hat)]
+        x0 = [a - h * div_v for a, h in zip(along(h0, v_hat), h0)]
+        f2 = [g / FOUR_PI for g in cross(curl_h, h_hat)]
+        f1 = [g / FOUR_PI for g in cross(curl_h, h0)]
+    adv_v, mag_hat, v_hat, x1, x0, f2, f1, grad_p = (
+        full_vector(grid, u)
+        for u in (along(v_hat, v_hat), mag_hat, v_hat, x1, x0, f2, f1, grad_p))
+    rho_hat, p_hat = (np.broadcast_to(f, grid.shape) for f in (rho_hat, p_hat))
+
+    def factors(g: GridSpec, t: float):
+        """Time factors (alpha, beta, r, q) of A, v, rho - 1, P - 1, then their
+        t-derivatives; ``g`` must be the case's own grid."""
+        if g != grid:
+            raise ValueError(f"manufactured case is built for {grid}, got {g}")
+        return (0.15 * math.cos(t), 0.2 * (1.0 + 0.5 * math.sin(t)),
+                0.2 * math.cos(t), 0.15 * math.cos(t + 0.5),
+                -0.15 * math.sin(t), 0.1 * math.cos(t),
+                -0.2 * math.sin(t), -0.15 * math.sin(t + 0.5))
 
     def exact(g: GridSpec, t: float) -> SimState:
-        mag, v, rho, p = _mms_eval(funcs["state"], g, t)
-        return _mag_state(g, formulation, v, rho, p, mag, mag, (0.3, 0.0, 0.0), t=t)
+        al, be, r, q = factors(g, t)[:4]
+        mag = al * mag_hat
+        return _mag_state(g, formulation, be * v_hat, 1.0 + r * rho_hat,
+                          1.0 + q * p_hat, mag, mag, h0, t=t)
 
     def source(g: GridSpec, t: float):
-        return _mms_eval(funcs["source"], g, t)
+        al, be, r, q, dal, dbe, dr, dq = factors(g, t)
+        rho = 1.0 + r * rho_hat
+        s_mag = dal * mag_hat - (al * be) * x1 - be * x0
+        s_v = dbe * v_hat + (be * be) * adv_v
+        s_v += (q * grad_p - (al * al) * f2 - al * f1) / rho
+        s_rho = dr * rho_hat + be * (r * v_grad_rho + rho * div_v)
+        s_p = dq * p_hat + be * (q * v_grad_p + gamma * (1.0 + q * p_hat) * div_v)
+        return s_mag, s_v, s_rho, s_p
 
     return CaseSetup(state=exact(grid, 0.0), exact=exact, source=source)
 

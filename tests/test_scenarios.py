@@ -1,5 +1,11 @@
 """Initial-condition builders and the manufactured-solution machinery."""
 
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -23,7 +29,6 @@ from modmhd import (
     uniform_rest,
 )
 from modmhd.projection import helmholtz_project
-from modmhd.scenarios import _mms_eval, _mms_functions
 
 from conftest import TWO_PI, cube, slab
 
@@ -242,7 +247,8 @@ def test_scenarios_are_band_limited_on_any_box():
     for form in Formulation:
         rs = random_solenoidal(g, form, k_max=2).state
         ot = orszag_tang_like(g, form).state
-        for field in (rs.mag, rs.v, ot.mag, ot.v):
+        mm = manufactured(g, form).state
+        for field in (rs.mag, rs.v, ot.mag, ot.v, *mm.fields):
             assert _energy_outside_band(field, 2) <= 1e-28
 
 
@@ -310,16 +316,22 @@ def test_manufactured_state_matches_exact_at_t0(formulation):
     assert case.source is not None
 
 
-@pytest.mark.parametrize("formulation", list(Formulation))
-def test_manufactured_residual_converges(formulation):
+# the 2 pi cube at order 2 keeps the plain formulation id
+@pytest.mark.parametrize("formulation,grid,order", [
+    pytest.param(form, grid, order,
+                 id=f"{form}{tag}" + ("" if order == 2 else f"-order{order}"))
+    for form in Formulation
+    for grid, tag in ((cube(12), ""), (NON_2PI_GRID, "-box"))
+    for order in (2, 4)
+])
+def test_manufactured_residual_converges(formulation, grid, order):
     # d/dt exact - [RHS(exact) + source] should vanish at the stencil order;
     # the time derivative is approximated spectrally accurately in time by a
     # tiny centered difference of the closed form
-    p = PhysParams()
+    p = PhysParams(stencil_order=order)
     tau = 1e-5
     errs, spacings = [], []
-    for n in (12, 24):
-        g = cube(n)
+    for g in (grid, replace(grid, nx=2 * grid.nx, ny=2 * grid.ny, nz=2 * grid.nz)):
         case = manufactured(g, formulation)
         t0 = 0.3
         st = case.exact(g, t0)
@@ -334,24 +346,38 @@ def test_manufactured_residual_converges(formulation):
             resid = max(resid, ops.max_norm(got_d + s - ddt))
         errs.append(resid)
         spacings.append(g.hx)
-    assert fit_order(spacings, errs) == pytest.approx(2.0, abs=0.35)
+    assert fit_order(spacings, errs) == pytest.approx(order, abs=0.35)
 
 
 @pytest.mark.parametrize("formulation", list(Formulation))
-@pytest.mark.parametrize("pack", ["state", "source"])
-def test_mms_eval_on_meshes_matches_full_grid_evaluation(formulation, pack):
-    # the closed forms are evaluated on the broadcastable (n,1,1)/(1,n,1)/
-    # (1,1,n) meshes; that must give the same bits as full-grid coordinates
-    g = cube(16)
-    funcs = _mms_functions(formulation, 5.0 / 3.0, 1.0)[pack]
-    full = np.broadcast_arrays(*g.meshes())
-    ref = [np.broadcast_to(np.asarray(f(*full, 0.3), dtype=float), g.shape)
-           for f in funcs]
-    mag, v, rho, p = _mms_eval(funcs, g, 0.3)
-    assert np.array_equal(mag, np.stack(ref[0:3]))
-    assert np.array_equal(v, np.stack(ref[3:6]))
-    assert np.array_equal(rho, ref[6])
-    assert np.array_equal(p, ref[7])
+def test_manufactured_rejects_a_foreign_grid(formulation):
+    g = cube(8)
+    case = manufactured(g, formulation)
+    for other in (cube(16), cube(8, length=1.0)):
+        for call in (case.exact, case.source):
+            with pytest.raises(ValueError) as info:
+                call(other, 0.3)
+            assert repr(g) in str(info.value) and repr(other) in str(info.value)
+
+
+def test_no_sympy_at_run_time():
+    # numpy is the only runtime dependency: importing the package and the
+    # CLI and building every scenario must not pull in sympy
+    code = (
+        "import math, sys\n"
+        "import modmhd, modmhd.cli\n"
+        "g = modmhd.GridSpec(8, 8, 8, 2 * math.pi, 2 * math.pi, 2 * math.pi)\n"
+        "for name in modmhd.SCENARIO_DEFAULTS:\n"
+        "    for form in modmhd.Formulation:\n"
+        "        modmhd.build_scenario(name, g, form)\n"
+        "assert 'sympy' not in sys.modules, 'sympy was imported'\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_manufactured_fields_are_positive():
