@@ -44,8 +44,6 @@ from .dynamics import (
     cfl_dt,
     compute_rhs,
     enforce_gauge,
-    rhs_modified,
-    rhs_traditional,
     run,
     step_rk4,
 )
@@ -134,8 +132,6 @@ __all__ = [
     "poisson_solve",
     "random_solenoidal",
     "read_snapshot",
-    "rhs_modified",
-    "rhs_traditional",
     "run",
     "serialize_config",
     "sound_wave",

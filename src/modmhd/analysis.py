@@ -23,7 +23,7 @@ import numpy as np
 
 from . import electromagnetics as em
 from . import operators as ops
-from .dynamics import rhs_modified, rhs_traditional, run
+from .dynamics import compute_rhs, run
 from .electromagnetics import BackgroundPotential, TwoFluidState
 from .grid import GridSpec
 from .params import Formulation, PhysParams
@@ -217,8 +217,8 @@ def identity_suite(
             grid, Formulation.TRADITIONAL, v, rho, p,
             h=ops.curl(a, grid, order), h0=bg.uniform_field,
         )
-        dh_mod = ops.curl(rhs_modified(s_mod, params).mag, grid, order)
-        dh_trad = rhs_traditional(s_trad, params).mag
+        dh_mod = ops.curl(compute_rhs(s_mod, params).mag, grid, order)
+        dh_trad = compute_rhs(s_trad, params).mag
         induction.append(
             ops.l2_norm(dh_mod - dh_trad, grid) / ops.l2_norm(dh_trad, grid)
         )

@@ -3,8 +3,8 @@
 Exit codes are exhaustive and mutually exclusive: 0 success, 1 a
 check failed (an identity or a fitted convergence order out of band),
 2 configuration error (including an output location that cannot be
-written), 3 numerical failure mid-run (with the partial diagnostics
-flushed).  Output files are written to a temporary name in
+written), 3 numerical failure mid-run (``run`` still flushes the
+partial diagnostics).  Output files are written to a temporary name in
 the target directory and renamed into place, so readers never see a
 torn file.
 """

@@ -13,7 +13,9 @@ Traditional system (state carries H, uniform background h0):
     dH/dt   = curl(v x H_total)
     dv/dt   = -(v.grad)v - grad(P)/rho + (curl H x H_total)/(4pi rho)
 
-with the same continuity and adiabatic pressure equations.  Both are
+with the same continuity and adiabatic pressure equations.  One
+``compute_rhs`` serves both: only the induction and force laws branch on
+the formulation, and the fluid lines are written once.  Both are
 marched with classical RK4 (method of lines); the solenoidal gauge of A
 is re-imposed after completed steps according to the gauge policy, never
 inside RK stages, and the pre-projection drift is recorded.
@@ -48,49 +50,35 @@ class SimulationError(RuntimeError):
         self.records = records
 
 
-def rhs_modified(state: SimState, params: PhysParams) -> Rhs:
-    """Semidiscrete right-hand side of the modified (potential) system."""
-    validate_state(state)
-    g = state.grid
-    o = params.stencil_order
-    # one curl A serves j and H; j is taken before H0 is added, because
-    # (x + H0) - (y + H0) is not bitwise x - y
-    curl_a = ops.curl(state.a, g, o)
-    j = (params.c / FOUR_PI) * ops.curl(curl_a, g, o)
-    h_tot = curl_a
-    h_tot += state.bg.uniform_field[:, None, None, None]
-    da = ops.cross(state.v, h_tot)
-    force = em.force_modified(j, state.a, state.bg, g, o, params.c)
-    gradp = ops.grad(state.p, g, o)
-    dv = -ops.advect(state.v, state.v, g, o)
-    dv -= gradp / state.rho
-    dv += force / state.rho
-    drho = -ops.div(state.rho * state.v, g, o)
-    dp = -ops.dot(state.v, gradp) - params.gamma * state.p * ops.div(state.v, g, o)
-    return Rhs(da, dv, drho, dp)
-
-
-def rhs_traditional(state: SimState, params: PhysParams) -> Rhs:
-    """Semidiscrete right-hand side of traditional ideal MHD."""
-    validate_state(state)
-    g = state.grid
-    o = params.stencil_order
-    h_tot = state.h + state.h0[:, None, None, None]
-    dh = ops.curl(ops.cross(state.v, h_tot), g, o)
-    force = ops.cross(ops.curl(state.h, g, o), h_tot) / FOUR_PI
-    gradp = ops.grad(state.p, g, o)
-    dv = -ops.advect(state.v, state.v, g, o)
-    dv -= gradp / state.rho
-    dv += force / state.rho
-    drho = -ops.div(state.rho * state.v, g, o)
-    dp = -ops.dot(state.v, gradp) - params.gamma * state.p * ops.div(state.v, g, o)
-    return Rhs(dh, dv, drho, dp)
-
-
 def compute_rhs(state: SimState, params: PhysParams) -> Rhs:
+    """Semidiscrete right-hand side of either formulation.
+
+    Only the induction and force laws branch on the formulation; the
+    fluid lines are shared, so the two systems differ in nothing else.
+    """
+    validate_state(state)
+    g = state.grid
+    o = params.stencil_order
     if state.formulation is Formulation.MODIFIED:
-        return rhs_modified(state, params)
-    return rhs_traditional(state, params)
+        # one curl A serves j and H; j is taken before H0 is added, because
+        # (x + H0) - (y + H0) is not bitwise x - y
+        curl_a = ops.curl(state.a, g, o)
+        j = (params.c / FOUR_PI) * ops.curl(curl_a, g, o)
+        h_tot = curl_a
+        h_tot += state.bg.uniform_field[:, None, None, None]
+        dmag = ops.cross(state.v, h_tot)
+        force = em.force_modified(j, state.a, state.bg, g, o, params.c)
+    else:
+        h_tot = state.h + state.h0[:, None, None, None]
+        dmag = ops.curl(ops.cross(state.v, h_tot), g, o)
+        force = ops.cross(ops.curl(state.h, g, o), h_tot) / FOUR_PI
+    gradp = ops.grad(state.p, g, o)
+    dv = -ops.advect(state.v, state.v, g, o)
+    dv -= gradp / state.rho
+    dv += force / state.rho
+    drho = -ops.div(state.rho * state.v, g, o)
+    dp = -ops.dot(state.v, gradp) - params.gamma * state.p * ops.div(state.v, g, o)
+    return Rhs(dmag, dv, drho, dp)
 
 
 def cfl_dt(state: SimState, params: PhysParams) -> float:

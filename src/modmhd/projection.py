@@ -13,13 +13,12 @@ each first-derivative stencil multiplies exp(i k x) by i*ktilde
 -(kx~^2 + ky~^2 + kz~^2) and the solve is one forward FFT, a divide and
 one inverse FFT -- exact to roundoff, with no iteration or tolerance.
 
-The operator is singular: its null space is spanned by the modes whose
-every axis wavenumber is 0 or, on an even axis, that axis's Nyquist mode
-(constants, checkerboards, ...).  In real space those modes are the
-fields that depend only on the parity of each grid index, so the content
-of a field in the null space is its mean over each parity class.  The
-right-hand side must have none; the solution is returned with none,
-which makes it the zero-mean, minimum-norm solution.
+The operator is singular: its null space is the set of modes where that
+symbol vanishes, the modes whose every axis wavenumber is 0 or, on an
+even axis, that axis's Nyquist mode (constants, checkerboards, ...).
+``_symbol`` marks them with an infinite symbol, so the divide zeroes
+them.  The right-hand side must have no content there; the solution is
+returned with none, which makes it the zero-mean, minimum-norm solution.
 """
 
 from __future__ import annotations
@@ -28,19 +27,6 @@ import numpy as np
 
 from . import operators as ops
 from .grid import GridSpec
-
-
-def _parity_blocks(f: np.ndarray) -> np.ndarray:
-    """View of a scalar field as (n/p, p) per axis, p = 2 on even axes, else 1.
-
-    The mean over axes (0, 2, 4) of this view is the field's null-space
-    content: one mean per parity class of grid points.
-    """
-    shape = []
-    for n in f.shape:
-        p = 2 if n % 2 == 0 else 1
-        shape += [n // p, p]
-    return f.reshape(shape)
 
 
 def _symbol(grid: GridSpec, order: int) -> np.ndarray:
@@ -69,10 +55,12 @@ def _symbol(grid: GridSpec, order: int) -> np.ndarray:
 def poisson_solve(rhs: np.ndarray, grid: GridSpec, order: int = 2) -> np.ndarray:
     """Solve div(grad(u)) = rhs on the periodic box; returns the zero-mean u.
 
-    The rhs must have no null-space content: its mean over each parity
-    class of grid points (for an odd-sized box, just its mean) must be
-    zero to 1e-12 of its rms (periodic solvability).  Callers remove it
-    first.  The solve is exact to roundoff.
+    The rhs must have no null-space content: the moduli of its Fourier
+    coefficients on the modes where the symbol vanishes, summed and
+    divided by the number of grid points, must be at most 1e-12 of its
+    rms (periodic solvability).  That sum bounds the rhs mean over each
+    parity class of grid points.  Callers remove that content first.
+    The solve is exact to roundoff.
     """
     if rhs.shape != grid.shape:
         raise ValueError(f"rhs: expected shape {grid.shape}, got {rhs.shape}")
@@ -80,15 +68,16 @@ def poisson_solve(rhs: np.ndarray, grid: GridSpec, order: int = 2) -> np.ndarray
     rms = float(np.sqrt(np.vdot(rhs, rhs).real / rhs.size))
     if rms == 0.0:
         return np.zeros(grid.shape)
-    null = float(np.abs(_parity_blocks(rhs).mean(axis=(0, 2, 4))).max())
+    axes = (0, 1, 2)
+    u_hat = np.fft.rfftn(rhs, axes=axes)
+    lap = _symbol(grid, order)
+    null = float(np.abs(u_hat[np.isinf(lap)]).sum()) / rhs.size
     if null > 1e-12 * rms:
         raise ValueError(
             "poisson rhs must have zero mean and no checkerboard (null-space) "
             f"content (got {null:.3e} vs rms {rms:.3e})"
         )
-
-    axes = (0, 1, 2)
-    u_hat = np.fft.rfftn(rhs, axes=axes) / _symbol(grid, order)
+    u_hat /= lap
     return np.fft.irfftn(u_hat, s=grid.shape, axes=axes)
 
 
@@ -106,13 +95,15 @@ def helmholtz_project(
     if v.shape != grid.vshape:
         raise ValueError(f"field: expected shape {grid.vshape}, got {v.shape}")
     d = ops.div(v, grid, order)
-    # div has no null-space content up to roundoff; remove that roundoff
-    # (blocks is a view of d)
-    blocks = _parity_blocks(d)
-    blocks -= blocks.mean(axis=(0, 2, 4), keepdims=True)
     d_l2 = float(np.sqrt(np.vdot(d, d).real))
     floor = 1e-14 * float(np.sqrt(np.vdot(v, v).real)) / grid.min_spacing
     if d_l2 <= floor:
         return v, np.zeros(grid.shape)
-    phi = poisson_solve(d, grid, order=order)
+    # div has null-space content only at roundoff; the infinite symbol
+    # drops it
+    axes = (0, 1, 2)
+    phi_hat = np.fft.rfftn(d, axes=axes)
+    phi_hat /= _symbol(grid, order)
+    phi = np.fft.irfftn(phi_hat, s=grid.shape, axes=axes)
+    del d, phi_hat   # free before grad(phi), which sets the peak memory
     return v - ops.grad(phi, grid, order), phi

@@ -54,21 +54,18 @@ class SimState:
                 raise ValueError("modified state needs the periodic potential a")
             if self.bg is None:
                 self.bg = em.BackgroundPotential.zero()
-            if self.a.shape != g.vshape:
-                raise ValueError(f"a: expected shape {g.vshape}, got {self.a.shape}")
+            mag_name = "a"
         else:
             if self.h is None:
                 raise ValueError("traditional state needs the periodic field h")
             if self.h0 is None:
                 self.h0 = np.zeros(3)
             self.h0 = np.asarray(self.h0, dtype=float).reshape(3)
-            if self.h.shape != g.vshape:
-                raise ValueError(f"h: expected shape {g.vshape}, got {self.h.shape}")
-        if self.v.shape != g.vshape:
-            raise ValueError(f"v: expected shape {g.vshape}, got {self.v.shape}")
-        for name, arr in (("rho", self.rho), ("p", self.p)):
-            if arr.shape != g.shape:
-                raise ValueError(f"{name}: expected shape {g.shape}, got {arr.shape}")
+            mag_name = "h"
+        for name, arr, shape in zip((mag_name, "v", "rho", "p"), self.fields,
+                                    (g.vshape, g.vshape, g.shape, g.shape)):
+            if arr.shape != shape:
+                raise ValueError(f"{name}: expected shape {shape}, got {arr.shape}")
 
     @property
     def mag(self) -> np.ndarray:

@@ -310,6 +310,23 @@ def test_convergence_wrong_expected_order_fails(tmp_path, capsys):
     assert "out of band" in capsys.readouterr().err
 
 
+def test_convergence_numerical_failure_exits_3(tmp_path, capsys):
+    # a large-amplitude sound wave steepens until the pressure goes negative
+    path = tmp_path / "conv.cfg"
+    path.write_text(
+        BASE.replace("grid.nx = 16\ngrid.ny = 16\ngrid.nz = 16\n",
+                     "grid.nx = 32\ngrid.ny = 4\ngrid.nz = 4\n")
+        + 'scenario.name = "sound_wave"\nformulation = traditional\n'
+        "scenario.delta = 0.5\n"
+        'convergence.resolutions = "16,32"\nconvergence.t_end = 6.0\n'
+    )
+    out = tmp_path / "out"
+    rc = cli.main(["convergence", "--config", str(path), "--out-dir", str(out)])
+    assert rc == cli.EXIT_NUMERICAL
+    assert "numerical failure" in capsys.readouterr().err
+    assert not (out / "convergence.csv").exists()
+
+
 def test_convergence_single_resolution_is_config_error(tmp_path, capsys):
     path = tmp_path / "conv.cfg"
     path.write_text(ALFVEN_SLAB + 'convergence.resolutions = "16"\n')

@@ -1,10 +1,11 @@
 """key = value config parsing, validation and round-tripping."""
 
 import dataclasses
+import re
 
 import pytest
 
-from modmhd import ConfigError, RunConfig, parse_config, serialize_config
+from modmhd import ConfigError, PhysParams, RunConfig, parse_config, serialize_config
 from modmhd.params import GaugePolicy
 
 MINIMAL = """\
@@ -80,6 +81,28 @@ def test_type_errors_name_key_and_value():
         parse_config(MINIMAL.replace("grid.nx = 16", "grid.nx = abc"))
     with pytest.raises(ConfigError, match="must be finite"):
         parse_config(MINIMAL + "physics.c = inf\n")
+
+
+@pytest.mark.parametrize("line,message", [
+    ("physics.c = abc", "physics.c: expected a number, got 'abc'"),
+    ('dispersion.h0 = "1,2"', "dispersion.h0: expected three comma-separated numbers"),
+    ('dispersion.k = "1,0"', "dispersion.k: expected integer triples"),
+], ids=["c", "h0", "k"])
+def test_malformed_values_report_line_number(line, message):
+    with pytest.raises(ConfigError, match="^line 8: " + re.escape(message)):
+        parse_config(MINIMAL + line + "\n")
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    ({"c": 0.0}, "c must be positive"),
+    ({"gamma": 1.0}, "gamma must exceed 1"),
+    ({"courant": 0.0}, "courant"),
+    ({"courant": 1.5}, "courant"),
+    ({"stencil_order": 3}, "stencil_order must be 2 or 4"),
+], ids=["c", "gamma", "courant0", "courant1.5", "order3"])
+def test_phys_params_reject_out_of_range(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        PhysParams(**kwargs)
 
 
 def test_unknown_scenario_name():

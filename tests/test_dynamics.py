@@ -1,4 +1,4 @@
-"""State validation, the two RHS functions, RK4, gauge policy, and run()."""
+"""State validation, the shared RHS, RK4, gauge policy, and run()."""
 
 import numpy as np
 import pytest
@@ -8,6 +8,7 @@ from modmhd import (
     BackgroundPotential,
     Formulation,
     GaugePolicy,
+    GridSpec,
     PhysParams,
     Rhs,
     SimState,
@@ -23,7 +24,6 @@ from modmhd import (
     manufactured,
     oracle_matrix,
     random_solenoidal,
-    rhs_modified,
     run,
     sound_wave,
     step_rk4,
@@ -52,11 +52,19 @@ def test_state_requires_matching_magnetic_field():
         SimState(**kw)
 
 
-def test_state_shape_checks():
+@pytest.mark.parametrize("formulation,name", [
+    (f, name) for f in Formulation
+    for name in ("a" if f is Formulation.MODIFIED else "h", "v", "rho", "p")
+])
+def test_state_shape_checks(formulation, name):
     g = cube(8)
-    with pytest.raises(ValueError):
-        SimState(grid=g, formulation=Formulation.MODIFIED, a=np.zeros(g.vshape),
-                 v=np.zeros(g.shape), rho=np.ones(g.shape), p=np.ones(g.shape))
+    mag = "a" if formulation is Formulation.MODIFIED else "h"
+    fields = {mag: np.zeros(g.vshape), "v": np.zeros(g.vshape),
+              "rho": np.ones(g.shape), "p": np.ones(g.shape)}
+    # a vector where a scalar belongs, or the other way round
+    fields[name] = np.ones(g.shape if fields[name].ndim == 4 else g.vshape)
+    with pytest.raises(ValueError, match=f"^{name}: expected shape"):
+        SimState(grid=g, formulation=formulation, **fields)
 
 
 def test_validate_names_offender():
@@ -114,7 +122,7 @@ def test_modified_rhs_zero_velocity_force_free_potential():
     st = SimState(grid=g, formulation=Formulation.MODIFIED,
                   a=full_vector(g, (0.0, np.sin(x), 0.0)),
                   v=np.zeros(g.vshape), rho=np.ones(g.shape), p=np.ones(g.shape))
-    rhs = rhs_modified(st, PhysParams())
+    rhs = compute_rhs(st, PhysParams())
     assert ops.max_norm(rhs.mag) == 0.0
     assert ops.max_norm(rhs.v) < 1e-13
     assert np.all(rhs.rho == 0.0)
@@ -123,8 +131,8 @@ def test_modified_rhs_zero_velocity_force_free_potential():
 
 @pytest.mark.parametrize("order", [2, 4])
 def test_rhs_modified_matches_public_assembly_bitwise(order):
-    # rhs_modified takes one curl A for both j and H = curl A + H0; j must be
-    # formed before H0 joins, or roundoff makes the force differ
+    # the modified RHS takes one curl A for both j and H = curl A + H0; j must
+    # be formed before H0 joins, or roundoff makes the force differ
     g = cube(8)
     st = random_solenoidal(g, Formulation.MODIFIED, b0=0.7, amplitude=0.3,
                            seed=4, order=order).state
@@ -135,9 +143,28 @@ def test_rhs_modified_matches_public_assembly_bitwise(order):
     dv = -ops.advect(st.v, st.v, g, order)
     dv -= ops.grad(st.p, g, order) / st.rho
     dv += force / st.rho
-    rhs = rhs_modified(st, params)
+    rhs = compute_rhs(st, params)
     assert np.array_equal(rhs.v, dv)
     assert np.array_equal(rhs.mag, ops.cross(st.v, h_tot))
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_fluid_rhs_is_shared_without_magnetic_field(order):
+    # with A = 0 and a zero background, or H = 0 and h0 = 0, the two systems
+    # reduce to the same compressible Euler equations, bitwise
+    g = GridSpec(12, 10, 9, 1.0, 2.5, 7.0)
+    rng = np.random.default_rng(11)
+    v = 0.5 * rng.standard_normal(g.vshape)
+    rho = 1.0 + 0.3 * rng.random(g.shape)
+    p = 1.0 + 0.3 * rng.random(g.shape)
+    params = PhysParams(stencil_order=order)
+    mod = compute_rhs(SimState(g, Formulation.MODIFIED, v, rho, p,
+                               a=np.zeros(g.vshape)), params)
+    trad = compute_rhs(SimState(g, Formulation.TRADITIONAL, v, rho, p,
+                                h=np.zeros(g.vshape), h0=np.zeros(3)), params)
+    assert ops.max_norm(mod.v) > 0.0
+    for name in ("v", "rho", "p"):
+        assert np.array_equal(getattr(mod, name), getattr(trad, name)), name
 
 
 def test_continuity_against_analytic_gradient():
@@ -149,7 +176,7 @@ def test_continuity_against_analytic_gradient():
                   v=full_vector(g, (u0, 0.0, 0.0)),
                   rho=1.0 + eps * np.sin(x) + np.zeros(g.shape),
                   p=np.ones(g.shape))
-    rhs = rhs_modified(st, PhysParams())
+    rhs = compute_rhs(st, PhysParams())
     assert ops.max_norm(rhs.rho + u0 * eps * np.cos(x)) < 1e-4
     assert ops.max_norm(rhs.v) < 1e-14
     assert np.all(rhs.p == 0.0)

@@ -1,6 +1,7 @@
 """Binary snapshot format: round-trips and failure modes."""
 
 import os
+import re
 import struct
 
 import numpy as np
@@ -70,6 +71,28 @@ def test_unsupported_version_names_both_versions(tmp_path):
     blob[len(MAGIC):len(MAGIC) + 4] = struct.pack("<I", 2)
     path.write_bytes(bytes(blob))
     with pytest.raises(SnapshotError, match="version 2.*reads version 1"):
+        read_snapshot(path)
+
+
+# byte offsets in a modified v1 snapshot: the formulation code follows the
+# magic, version, three sizes and four doubles; the field count follows M
+_FORM_AT = 56
+_COUNT_AT = _FORM_AT + 1 + 72
+_NAME_AT = _COUNT_AT + 4
+
+
+@pytest.mark.parametrize("offset,patch,message", [
+    (_FORM_AT, struct.pack("<B", 7), "unknown formulation code 7"),
+    (_COUNT_AT, struct.pack("<I", 7), "expected 8 fields, header says 7"),
+    (_NAME_AT, b"Bx".ljust(16, b"\x00"), "expected field 'Ax', found 'Bx'"),
+], ids=["formulation", "count", "name"])
+def test_corrupt_header_rejected(tmp_path, offset, patch, message):
+    path = tmp_path / "snap.bin"
+    write_snapshot(path, _sample_state(Formulation.MODIFIED))
+    blob = bytearray(path.read_bytes())
+    blob[offset:offset + len(patch)] = patch
+    path.write_bytes(bytes(blob))
+    with pytest.raises(SnapshotError, match=re.escape(message)):
         read_snapshot(path)
 
 
