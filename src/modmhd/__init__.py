@@ -31,7 +31,6 @@ from .config import ConfigError, RunConfig, parse_config, serialize_config
 from .diagnostics import CSV_COLUMNS, DiagnosticsRecord, diagnostics
 from .dispersion import (
     DispersionResult,
-    UniformBackground,
     dispersion,
     modified_wavenumber,
     oracle_matrix,
@@ -101,7 +100,6 @@ __all__ = [
     "SnapshotError",
     "StateInvalidError",
     "TwoFluidState",
-    "UniformBackground",
     "alfven_wave",
     "build_scenario",
     "cfl_dt",

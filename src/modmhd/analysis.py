@@ -23,7 +23,7 @@ import numpy as np
 
 from . import electromagnetics as em
 from . import operators as ops
-from .dynamics import compute_rhs, run
+from .dynamics import SimulationError, compute_rhs, run
 from .electromagnetics import BackgroundPotential, TwoFluidState
 from .grid import GridSpec
 from .params import Formulation, PhysParams
@@ -349,39 +349,51 @@ def convergence_study(
 ) -> ConvergenceResult:
     """Error-versus-spacing sweep for a scenario.
 
-    ``case_factory(n)`` builds the initial setup at resolution n.  When the
-    setup carries a closed-form solution the error is measured against it;
-    otherwise consecutive resolutions are compared after injecting the
-    finer solution onto the coarser grid (grids must nest: each n must
-    divide the next).
+    ``case_factory(n)`` builds the initial setup at resolution n; every
+    case is built before any is run.  When the setup carries a closed-form
+    solution the error is measured against it; otherwise consecutive
+    resolutions are compared after injecting the finer solution onto the
+    coarser grid.  The grids must then nest on every axis (each of the
+    finer grid's nx, ny, nz an integer multiple, possibly 1, of the
+    coarser's), which is checked before the first run.  A run that fails
+    raises ``SimulationError`` naming its resolution.
     """
     params = params or PhysParams()
     resolutions = tuple(resolutions)
     if len(resolutions) < 2:
         raise ValueError("need at least two resolutions")
 
-    finals, cases = [], []
-    for n in resolutions:
-        case = case_factory(n)
-        final, _ = run(case.state, params, t_end,
-                       out_every=10 ** 9, source=case.source)
+    cases = [case_factory(n) for n in resolutions]
+    richardson = cases[0].exact is None
+    strides = []
+    if richardson:
+        for coarse, fine in zip(cases[:-1], cases[1:]):
+            cshape, fshape = coarse.state.grid.shape, fine.state.grid.shape
+            if any(f % c for c, f in zip(cshape, fshape)):
+                raise ValueError("resolutions must nest for the two-grid "
+                                 f"comparison: {cshape} -> {fshape}")
+            strides.append(tuple(f // c for c, f in zip(cshape, fshape)))
+
+    finals = []
+    for n, case in zip(resolutions, cases):
+        try:
+            final, _ = run(case.state, params, t_end,
+                           out_every=10 ** 9, source=case.source)
+        except SimulationError as exc:
+            raise SimulationError(f"resolution {n}: {exc}", exc.records) from exc
         finals.append(final)
-        cases.append(case)
 
     errors, spacings = [], []
-    if cases[0].exact is not None:
+    if not richardson:
         for case, final in zip(cases, finals):
             ref = case.exact(final.grid, t_end)
             errors.append(state_error(final, ref))
             spacings.append(final.grid.min_spacing)
         mode = "exact"
     else:
-        for coarse, fine in zip(finals[:-1], finals[1:]):
-            k = fine.grid.nx // coarse.grid.nx
-            if k * coarse.grid.nx != fine.grid.nx:
-                raise ValueError("resolutions must nest for the two-grid comparison")
+        for coarse, fine, (kx, ky, kz) in zip(finals[:-1], finals[1:], strides):
             ref = coarse.with_fields(
-                *(f[..., ::k, ::k, ::k] for f in fine.fields), coarse.t
+                *(f[..., ::kx, ::ky, ::kz] for f in fine.fields), coarse.t
             )
             errors.append(state_error(coarse, ref))
             spacings.append(coarse.grid.min_spacing)

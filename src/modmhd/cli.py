@@ -19,15 +19,14 @@ import sys
 import numpy as np
 
 from . import __version__
-from . import electromagnetics as em
 from . import snapshot as snap
 from .analysis import convergence_study, format_identity_report, identity_suite
 from .config import RunConfig, ConfigError, parse_config, serialize_config
 from .diagnostics import CSV_COLUMNS
-from .dispersion import UniformBackground, dispersion, oracle_omegas
+from .dispersion import dispersion, oracle_omegas
 from .dynamics import SimulationError, run
 from .params import Formulation
-from .scenarios import SCENARIO_DEFAULTS
+from .scenarios import SCENARIO_DEFAULTS, uniform_rest
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -128,16 +127,6 @@ def cmd_identities(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _dispersion_background(cfg: RunConfig, formulation: Formulation):
-    h0 = np.array(cfg.dispersion_h0)
-    if formulation is Formulation.MODIFIED:
-        bg = em.BackgroundPotential.from_uniform_field(h0)
-        return UniformBackground.modified(cfg.dispersion_rho0,
-                                          cfg.dispersion_p0, bg)
-    return UniformBackground.traditional(cfg.dispersion_rho0,
-                                         cfg.dispersion_p0, h0)
-
-
 def cmd_dispersion(cfg: RunConfig) -> int:
     grid = cfg.grid()
     params = cfg.phys()
@@ -150,10 +139,11 @@ def cmd_dispersion(cfg: RunConfig) -> int:
               "omega_re", "omega_im", "oracle_re", "oracle_im", "warning")
     rows = []
     for form in formulations:
-        background = _dispersion_background(cfg, form)
+        background = uniform_rest(grid, form, cfg.dispersion_rho0,
+                                  cfg.dispersion_p0, cfg.dispersion_h0).state
         for modes in cfg.dispersion_k:
-            result = dispersion(background, modes, grid, params)
-            oracle = oracle_omegas(background, modes, grid, params, full=True)
+            result = dispersion(background, modes, params)
+            oracle = oracle_omegas(background, modes, params)
             for i, (w, wo) in enumerate(zip(result.omega, oracle)):
                 rows.append((*modes, form.value, i, _fmt(w.real), _fmt(w.imag),
                              _fmt(wo.real), _fmt(wo.imag), int(result.warning)))

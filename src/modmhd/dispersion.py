@@ -1,6 +1,11 @@
-"""Linear wave spectra about a uniform magnetized background.
+"""Linear wave spectra about a uniform rest state.
 
-Two independent routes to the same answer:
+The background is an ordinary ``SimState`` at rest: v = 0, zero periodic
+field, constant rho and P, with the uniform field H0 carried the way the
+formulation carries it (the affine potential ``bg`` or the vector ``h0``).
+``scenarios.uniform_rest(...).state`` builds one; a hand-built state may
+use any ``BackgroundPotential``.  The grid is the state's own.  Two
+independent routes to the same answer:
 
 * ``oracle_omegas`` -- the 8x8 complex mode matrix of the linearized
   semidiscrete equations, written down analytically.  First-derivative
@@ -10,7 +15,7 @@ Two independent routes to the same answer:
   the discrete operators, not just the continuum limit.
 
 * ``dispersion`` -- a numerical Jacobian of the actual nonlinear RHS,
-  assembled by perturbing the uniform state with cos/sin modes and
+  assembled by perturbing the rest state with cos/sin modes and
   projecting the response back onto them (16x16 real matrix: 8 field
   components x {cos, sin}).
 
@@ -30,11 +35,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import compute_rhs
-from .electromagnetics import FOUR_PI, BackgroundPotential
+from .electromagnetics import FOUR_PI
 from .grid import GridSpec
 from .operators import modified_wavenumber
 from .params import Formulation, PhysParams
 from .state import SimState
+
+#: Central-difference step of the Jacobian, relative to each component's
+#: scale; the result is re-measured at _EPS / 10 to report its sensitivity.
+_EPS = 1e-6
 
 
 def _skew(u: np.ndarray) -> np.ndarray:
@@ -67,74 +76,28 @@ def _sort_omegas(omega: np.ndarray) -> np.ndarray:
     return omega[order]
 
 
-@dataclass(frozen=True)
-class UniformBackground:
-    """Spatially uniform rest state: density, pressure, background field.
-
-    The magnetic background is carried either as an affine potential
-    (modified formulation) or as a uniform field vector (traditional).
-    """
-
-    formulation: Formulation
-    rho0: float
-    p0: float
-    bg: BackgroundPotential | None = None
-    h0vec: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.rho0 <= 0.0 or self.p0 <= 0.0:
-            raise ValueError("background density and pressure must be positive")
-        if self.formulation is Formulation.MODIFIED:
-            if self.bg is None:
-                raise ValueError("modified background requires a potential matrix")
-        else:
-            if self.h0vec is None:
-                raise ValueError("traditional background requires a field vector")
-            object.__setattr__(self, "h0vec", np.asarray(self.h0vec, dtype=float))
-
-    @classmethod
-    def modified(cls, rho0: float, p0: float, bg: BackgroundPotential) -> "UniformBackground":
-        return cls(Formulation.MODIFIED, rho0, p0, bg=bg)
-
-    @classmethod
-    def traditional(cls, rho0: float, p0: float, h0) -> "UniformBackground":
-        return cls(Formulation.TRADITIONAL, rho0, p0, h0vec=np.asarray(h0, dtype=float))
-
-    @property
-    def h0(self) -> np.ndarray:
-        """Uniform background field, whichever way it is represented."""
-        if self.formulation is Formulation.MODIFIED:
-            return self.bg.uniform_field
-        return self.h0vec
-
-    def state(self, grid: GridSpec) -> SimState:
-        """The uniform rest state itself, ready to perturb or evolve."""
-        v = np.zeros(grid.vshape)
-        rho = np.full(grid.shape, self.rho0)
-        p = np.full(grid.shape, self.p0)
-        if self.formulation is Formulation.MODIFIED:
-            return SimState(
-                grid, Formulation.MODIFIED, v, rho, p,
-                a=np.zeros(grid.vshape), bg=self.bg,
-            )
-        return SimState(
-            grid, Formulation.TRADITIONAL, v, rho, p,
-            h=np.zeros(grid.vshape), h0=self.h0vec,
-        )
+def _rest_values(state: SimState) -> tuple[float, float, np.ndarray]:
+    """(rho0, P0, H0) of a uniform rest state; ValueError for any other."""
+    rho0, p0 = float(state.rho.flat[0]), float(state.p.flat[0])
+    if (state.v.any() or state.mag.any() or not (rho0 > 0.0 and p0 > 0.0)
+            or (state.rho != rho0).any() or (state.p != p0).any()):
+        raise ValueError("background must be a uniform rest state: v = 0, "
+                         "zero periodic field, constant positive rho and P")
+    return rho0, p0, state.h_total()[:, 0, 0, 0]
 
 
-def oracle_matrix(
-    background: UniformBackground, modes, grid: GridSpec, params: PhysParams
-) -> np.ndarray:
+def oracle_matrix(background: SimState, modes, params: PhysParams) -> np.ndarray:
     """Analytic 8x8 mode matrix L with d/dt [mag, v, rho, P] = L @ (...).
 
-    Rows/columns are ordered (mag_x, mag_y, mag_z, v_x, v_y, v_z, rho, P)
-    with mag = A-hat (modified) or H-hat (traditional).
+    ``background`` is a uniform rest state (e.g. ``uniform_rest(...).state``)
+    on the grid whose stencils the matrix describes.  Rows/columns are
+    ordered (mag_x, mag_y, mag_z, v_x, v_y, v_z, rho, P) with mag = A-hat
+    (modified) or H-hat (traditional).
     """
+    grid = background.grid
     kvec = wavevector_from_modes(modes, grid)
     kt = modified_wavevector(kvec, grid, params.stencil_order)
-    rho0, p0, gamma = background.rho0, background.p0, params.gamma
-    h0 = background.h0
+    rho0, p0, h0 = _rest_values(background)
     L = np.zeros((8, 8), dtype=complex)
 
     if background.formulation is Formulation.MODIFIED:
@@ -149,28 +112,20 @@ def oracle_matrix(
 
     L[3:6, 7] = -1j * kt / rho0
     L[6, 3:6] = -1j * rho0 * kt
-    L[7, 3:6] = -1j * gamma * p0 * kt
+    L[7, 3:6] = -1j * params.gamma * p0 * kt
     return L
 
 
-def oracle_omegas(
-    background: UniformBackground,
-    modes,
-    grid: GridSpec,
-    params: PhysParams,
-    full: bool = False,
-) -> np.ndarray:
+def oracle_omegas(background: SimState, modes, params: PhysParams) -> np.ndarray:
     """Eigenfrequencies of the analytic mode matrix, sorted by |Re omega|.
 
-    With ``full=True`` the set is doubled to {omega, -conj(omega)} --
-    the spectrum of the real 16x16 cos/sin representation, directly
-    comparable with ``dispersion().omega``.
+    The eight eigenfrequencies are doubled to {omega, -conj(omega)} -- the
+    spectrum of the real 16x16 cos/sin representation, directly comparable
+    with ``dispersion().omega``.
     """
-    lam = np.linalg.eigvals(oracle_matrix(background, modes, grid, params))
+    lam = np.linalg.eigvals(oracle_matrix(background, modes, params))
     omega = 1j * lam
-    if full:
-        omega = np.concatenate([omega, -np.conj(omega)])
-    return _sort_omegas(omega)
+    return _sort_omegas(np.concatenate([omega, -np.conj(omega)]))
 
 
 @dataclass(frozen=True)
@@ -202,12 +157,12 @@ def _mode_fields(kvec, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     return cosf, sinf
 
 
-def _amplitudes(background: UniformBackground, kvec, params: PhysParams) -> np.ndarray:
+def _amplitudes(background: SimState, kvec, params: PhysParams) -> np.ndarray:
     """Per-component perturbation scales (a diagonal similarity, so the
     spectrum is untouched; this only conditions the finite differences)."""
-    rho0, p0 = background.rho0, background.p0
+    rho0, p0, h0 = _rest_values(background)
     speed = np.sqrt(params.gamma * p0 / rho0)
-    speed += np.linalg.norm(background.h0) / np.sqrt(FOUR_PI * rho0)
+    speed += np.linalg.norm(h0) / np.sqrt(FOUR_PI * rho0)
     kmag = float(np.linalg.norm(np.asarray(kvec, dtype=float)))
     if background.formulation is Formulation.MODIFIED:
         mag_scale = speed * np.sqrt(FOUR_PI * rho0) / kmag
@@ -255,27 +210,24 @@ def _jacobian_at(
     return jac
 
 
-def dispersion(
-    background: UniformBackground,
-    modes,
-    grid: GridSpec,
-    params: PhysParams,
-    eps: float = 1e-6,
-) -> DispersionResult:
+def dispersion(background: SimState, modes, params: PhysParams) -> DispersionResult:
     """Measure the discrete linear spectrum at integer mode numbers ``modes``.
 
-    Needs no knowledge of the equations beyond calling the RHS: the
-    uniform state is nudged along each cos/sin mode of each of the eight
-    field components, the response is projected back onto those modes,
-    and the eigenvalues of the resulting real matrix give the spectrum.
+    ``background`` is a uniform rest state (v = 0, zero periodic field,
+    constant rho and P), e.g. ``uniform_rest(...).state``; its grid is the
+    one the spectrum is measured on, and it is not modified.  Needs no
+    knowledge of the equations beyond calling the RHS: the state is
+    nudged along each cos/sin mode of each of the eight field components,
+    the response is projected back onto those modes, and the eigenvalues
+    of the resulting real matrix give the spectrum.
     """
+    grid = background.grid
     kvec = wavevector_from_modes(modes, grid)
-    base = background.state(grid)
     cosf, sinf = _mode_fields(kvec, grid)
     amps = _amplitudes(background, kvec, params)
 
-    jac = _jacobian_at(base, params, cosf, sinf, amps, eps)
-    jac_check = _jacobian_at(base, params, cosf, sinf, amps, eps / 10.0)
+    jac = _jacobian_at(background, params, cosf, sinf, amps, _EPS)
+    jac_check = _jacobian_at(background, params, cosf, sinf, amps, _EPS / 10.0)
     scale = np.linalg.norm(jac)
     sens = np.linalg.norm(jac - jac_check) / scale if scale > 0.0 else 0.0
 

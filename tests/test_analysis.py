@@ -5,16 +5,21 @@ import math
 import numpy as np
 import pytest
 
+import modmhd.analysis as analysis
 from modmhd import (
     Formulation,
+    GridSpec,
     PhysParams,
+    SimulationError,
     alfven_wave,
     convergence_study,
     diagnostics,
     fit_order,
     format_identity_report,
     identity_suite,
+    orszag_tang_like,
     random_solenoidal,
+    sound_wave,
     state_error,
     uniform_rest,
 )
@@ -181,3 +186,34 @@ def test_convergence_richardson_mode_without_exact():
     assert res.resolutions == (16,)
     assert len(res.errors) == 1
     assert res.errors[0] > 0.0
+
+
+@pytest.mark.parametrize("formulation", list(Formulation))
+def test_convergence_richardson_nests_per_axis(formulation):
+    # the thin-z vortex refines x and y but keeps nz = 4 (a stride of 1)
+    res = convergence_study(
+        lambda n: orszag_tang_like(GridSpec(n, n, 4, TWO_PI, TWO_PI, TWO_PI),
+                                   formulation),
+        (16, 32, 64), t_end=0.1,
+    )
+    assert res.mode == "richardson"
+    assert res.order == pytest.approx(2.0, abs=0.3)
+
+
+def test_convergence_nesting_is_checked_before_any_run(monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("run called before the nesting check")
+
+    monkeypatch.setattr(analysis, "run", no_run)
+    with pytest.raises(ValueError, match="must nest"):
+        convergence_study(lambda n: random_solenoidal(cube(n)), (8, 12), t_end=0.1)
+
+
+def test_convergence_failure_names_the_resolution():
+    # a large-amplitude sound wave steepens until the pressure goes negative
+    with pytest.raises(SimulationError, match=r"^resolution 16: run aborted") as info:
+        convergence_study(
+            lambda n: sound_wave(slab(n), Formulation.TRADITIONAL, delta=0.5),
+            (16, 32), t_end=6.0,
+        )
+    assert len(info.value.records) > 0

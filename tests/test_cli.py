@@ -323,7 +323,9 @@ def test_convergence_numerical_failure_exits_3(tmp_path, capsys):
     out = tmp_path / "out"
     rc = cli.main(["convergence", "--config", str(path), "--out-dir", str(out)])
     assert rc == cli.EXIT_NUMERICAL
-    assert "numerical failure" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "numerical failure" in err
+    assert "resolution 16:" in err
     assert not (out / "convergence.csv").exists()
 
 

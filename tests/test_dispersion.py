@@ -7,11 +7,12 @@ from modmhd import (
     BackgroundPotential,
     Formulation,
     PhysParams,
-    UniformBackground,
+    SimState,
     dispersion,
     modified_wavenumber,
     oracle_matrix,
     oracle_omegas,
+    uniform_rest,
     wavevector_from_modes,
 )
 from modmhd.dispersion import modified_wavevector
@@ -21,13 +22,12 @@ from conftest import TWO_PI, cube, slab
 VA = 1.0 / np.sqrt(4.0 * np.pi)
 
 
-def _trad(h0=(1.0, 0.0, 0.0), rho0=1.0, p0=0.6):
-    return UniformBackground.traditional(rho0, p0, h0)
+def _trad(g, h0=(1.0, 0.0, 0.0), rho0=1.0, p0=0.6):
+    return uniform_rest(g, Formulation.TRADITIONAL, rho0, p0, h0).state
 
 
-def _mod(h0=(1.0, 0.0, 0.0), rho0=1.0, p0=0.6):
-    bg = BackgroundPotential.from_uniform_field(np.asarray(h0, dtype=float))
-    return UniformBackground.modified(rho0, p0, bg)
+def _mod(g, h0=(1.0, 0.0, 0.0), rho0=1.0, p0=0.6):
+    return uniform_rest(g, Formulation.MODIFIED, rho0, p0, h0).state
 
 
 def test_wavevector_from_modes():
@@ -50,27 +50,11 @@ def test_modified_wavenumber():
         modified_wavenumber(2.0, h, 2) - 2.0)
 
 
-def test_background_validation():
-    with pytest.raises(ValueError):
-        UniformBackground.traditional(-1.0, 0.6, (1, 0, 0))
-    with pytest.raises(ValueError):
-        UniformBackground.modified(1.0, 0.0, BackgroundPotential.zero())
-
-
-def test_background_state_is_uniform_rest():
-    g = cube(8)
-    st = _trad().state(g)
-    assert np.all(st.v == 0.0)
-    assert np.all(st.rho == 1.0)
-    assert np.allclose(st.h0, (1.0, 0.0, 0.0))
-
-
-@pytest.mark.parametrize("background", [_trad(), _mod()])
+@pytest.mark.parametrize("background", [_trad(slab(64)), _mod(slab(64))])
 def test_jacobian_matches_analytic_oracle(background):
-    g = slab(64)
     p = PhysParams()
-    res = dispersion(background, (1, 0, 0), g, p)
-    want = oracle_omegas(background, (1, 0, 0), g, p, full=True)
+    res = dispersion(background, (1, 0, 0), p)
+    want = oracle_omegas(background, (1, 0, 0), p)
     scale = np.abs(want).max()
     err = np.abs(np.sort_complex(res.omega) - np.sort_complex(want)).max()
     assert err <= 1e-8 * scale
@@ -79,7 +63,7 @@ def test_jacobian_matches_analytic_oracle(background):
 
 def test_traditional_parallel_speeds():
     g = slab(64)
-    res = dispersion(_trad(), (1, 0, 0), g, PhysParams())
+    res = dispersion(_trad(g), (1, 0, 0), PhysParams())
     cs = 1.0   # sqrt(gamma p0 / rho0) with gamma=5/3, p0=0.6
     speeds = res.speeds()
     nonzero = sorted(s for s in speeds if s > 1e-10)
@@ -96,7 +80,7 @@ def test_modified_transverse_speed_is_va_over_sqrt2():
     # headline contrast with the traditional system: in the symmetric
     # background gauge the transverse branch propagates at v_A/sqrt(2)
     g = slab(64)
-    res = dispersion(_mod(), (1, 0, 0), g, PhysParams())
+    res = dispersion(_mod(g), (1, 0, 0), PhysParams())
     nonzero = sorted(s for s in res.speeds() if s > 1e-10)
     assert nonzero[0] == pytest.approx(VA / np.sqrt(2.0), rel=5e-3)
     assert nonzero[1] == pytest.approx(1.0, rel=5e-3)
@@ -105,25 +89,25 @@ def test_modified_transverse_speed_is_va_over_sqrt2():
 def test_formulations_agree_without_background_field():
     g = slab(32)
     p = PhysParams()
-    wm = np.sort_complex(dispersion(_mod(h0=(0, 0, 0)), (1, 0, 0), g, p).omega)
-    wt = np.sort_complex(dispersion(_trad(h0=(0, 0, 0)), (1, 0, 0), g, p).omega)
+    wm = np.sort_complex(dispersion(_mod(g, h0=(0, 0, 0)), (1, 0, 0), p).omega)
+    wt = np.sort_complex(dispersion(_trad(g, h0=(0, 0, 0)), (1, 0, 0), p).omega)
     scale = max(np.abs(wt).max(), 1e-30)
     assert np.abs(wm - wt).max() <= 1e-6 * scale
 
 
 def test_eigenvalues_come_in_conjugate_pairs():
     g = slab(32)
-    for background in (_trad(), _mod(), _trad(h0=(0.3, 0.4, 0.0))):
-        res = dispersion(background, (1, 0, 0), g, PhysParams())
+    for background in (_trad(g), _mod(g), _trad(g, h0=(0.3, 0.4, 0.0))):
+        res = dispersion(background, (1, 0, 0), PhysParams())
         assert res.pairing_error <= 1e-8
 
 
 def test_oblique_mode_against_oracle():
     g = cube(24)
     p = PhysParams()
-    background = _trad(h0=(0.8, 0.0, 0.3), p0=0.4)
-    res = dispersion(background, (1, 2, 0), g, p)
-    want = oracle_omegas(background, (1, 2, 0), g, p, full=True)
+    background = _trad(g, h0=(0.8, 0.0, 0.3), p0=0.4)
+    res = dispersion(background, (1, 2, 0), p)
+    want = oracle_omegas(background, (1, 2, 0), p)
     err = np.abs(np.sort_complex(res.omega) - np.sort_complex(want)).max()
     assert err <= 1e-7 * np.abs(want).max()
 
@@ -131,7 +115,7 @@ def test_oblique_mode_against_oracle():
 def test_oracle_matrix_structure():
     g = slab(16)
     p = PhysParams()
-    L = oracle_matrix(_trad(), (1, 0, 0), g, p)
+    L = oracle_matrix(_trad(g), (1, 0, 0), p)
     assert L.shape == (8, 8)
     # no growth or decay in ideal linear theory: eigenvalues purely imaginary
     lam = np.linalg.eigvals(L)
@@ -148,13 +132,65 @@ def test_modified_wavevector_componentwise():
 
 def test_dispersion_rejects_zero_mode():
     with pytest.raises(ValueError):
-        dispersion(_trad(), (0, 0, 0), slab(16), PhysParams())
+        dispersion(_trad(slab(16)), (0, 0, 0), PhysParams())
 
 
 def test_speeds_are_omega_over_ktilde():
     g = slab(32)
-    res = dispersion(_trad(), (2, 0, 0), g, PhysParams())
+    res = dispersion(_trad(g), (2, 0, 0), PhysParams())
     kt = modified_wavenumber(2.0, g.hx, 2)
     best = max(res.speeds())
     # speeds() rounds to 10 decimals before deduplicating
     assert best == pytest.approx(np.abs(res.omega.real).max() / kt, abs=1e-9)
+
+
+def _rest_modified(g, matrix, rho0=1.0, p0=0.6):
+    """Hand-built modified rest state with an arbitrary background matrix."""
+    return SimState(g, Formulation.MODIFIED, np.zeros(g.vshape),
+                    np.full(g.shape, rho0), np.full(g.shape, p0),
+                    a=np.zeros(g.vshape), bg=BackgroundPotential(matrix))
+
+
+def test_modified_spectrum_depends_on_background_gauge():
+    # the same H0 = x-hat in two gauges: symmetric (1/2) H0 x r and
+    # Landau A0 = (0, -z, 0); the advective force sees the full M
+    g = slab(64)
+    p = PhysParams()
+    landau = np.zeros((3, 3))
+    landau[1, 2] = -1.0
+    symmetric = BackgroundPotential.from_uniform_field((1.0, 0.0, 0.0)).matrix
+    speeds = {}
+    for name, matrix in (("symmetric", symmetric), ("landau", landau)):
+        background = _rest_modified(g, matrix)
+        assert np.allclose(background.bg.uniform_field, (1.0, 0.0, 0.0))
+        res = dispersion(background, (1, 0, 0), p)
+        want = oracle_omegas(background, (1, 0, 0), p)
+        err = np.abs(np.sort_complex(res.omega) - np.sort_complex(want)).max()
+        assert err <= 1e-8 * np.abs(want).max()
+        speeds[name] = [s for s in res.speeds() if s > 1e-10]
+    assert min(speeds["symmetric"]) == pytest.approx(VA / np.sqrt(2.0), rel=5e-3)
+    assert any(s == pytest.approx(VA, rel=5e-3) for s in speeds["landau"])
+    assert not any(s == pytest.approx(VA / np.sqrt(2.0), rel=5e-2)
+                   for s in speeds["landau"])
+
+
+@pytest.mark.parametrize("field", ["v", "mag", "rho"])
+@pytest.mark.parametrize("formulation", list(Formulation))
+def test_dispersion_rejects_a_state_not_at_uniform_rest(formulation, field):
+    g = slab(16)
+    background = uniform_rest(g, formulation, 1.0, 0.6, (1.0, 0.0, 0.0)).state
+    getattr(background, field)[0, 3, 1] += 1e-3
+    with pytest.raises(ValueError, match="uniform rest state"):
+        dispersion(background, (1, 0, 0), PhysParams())
+    with pytest.raises(ValueError, match="uniform rest state"):
+        oracle_omegas(background, (1, 0, 0), PhysParams())
+
+
+@pytest.mark.parametrize("formulation", list(Formulation))
+def test_dispersion_leaves_its_background_unchanged(formulation):
+    g = slab(16)
+    background = uniform_rest(g, formulation, 1.0, 0.6, (0.3, 0.4, 0.0)).state
+    before = [f.copy() for f in background.fields]
+    dispersion(background, (1, 0, 0), PhysParams())
+    for f, f0 in zip(background.fields, before):
+        assert np.array_equal(f, f0)

@@ -5,7 +5,6 @@ import pytest
 
 import modmhd.operators as ops
 from modmhd import (
-    BackgroundPotential,
     Formulation,
     GaugePolicy,
     GridSpec,
@@ -14,7 +13,6 @@ from modmhd import (
     SimState,
     SimulationError,
     StateInvalidError,
-    UniformBackground,
     cfl_dt,
     compute_rhs,
     current_from_a,
@@ -227,14 +225,13 @@ def test_fixed_point_bitwise(formulation):
     assert st.t == pytest.approx(1.0)
 
 
-def _mode_coefficients(state, background, kvec):
+def _mode_coefficients(state, base, kvec):
     """Project the deviation from the background onto cos/sin of one mode."""
     g = state.grid
     x, y, z = g.meshes()
     phase = kvec[0] * x + kvec[1] * y + kvec[2] * z
     cosf, sinf = np.cos(phase), np.sin(phase)
     w = 2.0 / g.npoints
-    base = background.state(g)
     out = []
     fields = [state.mag[i] - base.mag[i] for i in range(3)]
     fields += [state.v[i] - base.v[i] for i in range(3)]
@@ -253,9 +250,9 @@ def test_rk4_matches_matrix_exponential_to_dt5():
     la = np.linalg
     g = slab(32)
     p = PhysParams()
-    bg = UniformBackground.modified(1.0, 1.0, BackgroundPotential.zero())
+    base = uniform_rest(g, Formulation.MODIFIED, 1.0, 1.0).state
     kvec = np.array([1.0, 0.0, 0.0])
-    L = oracle_matrix(bg, (1, 0, 0), g, p)
+    L = oracle_matrix(base, (1, 0, 0), p)
     # fields f = c cos(kx) + s sin(kx) with complex amplitude c - i s:
     # d/dt (c; s) = [[Re L, Im L], [-Im L, Re L]] (c; s)
     big = np.block([[L.real, L.imag], [-L.imag, L.real]])
@@ -264,7 +261,6 @@ def test_rk4_matches_matrix_exponential_to_dt5():
 
     eps = 1e-7
     x = g.meshes()[0]
-    base = bg.state(g)
 
     def perturbed():
         st = base.copy()
@@ -272,11 +268,11 @@ def test_rk4_matches_matrix_exponential_to_dt5():
         st.p += eps * 0.5 * np.sin(kvec[0] * x) * np.ones(g.shape)
         return st
 
-    coef0 = _mode_coefficients(perturbed(), bg, kvec)
+    coef0 = _mode_coefficients(perturbed(), base, kvec)
     defects = []
     for dt in (0.2, 0.1):
         st, _ = step_rk4(perturbed(), dt, p)
-        got = _mode_coefficients(st, bg, kvec)
+        got = _mode_coefficients(st, base, kvec)
         expm = (vecs @ np.diag(np.exp(lam * dt)) @ la.inv(vecs)).real
         defects.append(la.norm(got - expm @ coef0))
     ratio = defects[0] / defects[1]
