@@ -51,7 +51,6 @@ from .electromagnetics import (
     TwoFluidState,
     current_from_a,
     e_from_a_dot,
-    e_ideal_ohm,
     force_lorentz,
     force_modified,
     force_modified_from_a,
@@ -109,7 +108,6 @@ __all__ = [
     "diagnostics",
     "dispersion",
     "e_from_a_dot",
-    "e_ideal_ohm",
     "enforce_gauge",
     "fit_order",
     "force_lorentz",

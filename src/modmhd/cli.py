@@ -83,7 +83,6 @@ def cmd_run(cfg: RunConfig) -> int:
         def on_step(state, step):
             if step % cfg.snapshot_every == 0:
                 path = os.path.join(out_dir, f"snapshot_{step:06d}.bin")
-                os.makedirs(out_dir, exist_ok=True)
                 snap.write_snapshot(path, state)
 
     try:
@@ -159,11 +158,21 @@ def cmd_convergence(cfg: RunConfig) -> int:
         raise ConfigError("convergence.resolutions needs at least two entries")
     params = cfg.phys()
     form = cfg.formulation_enum()
+    # a 4-point (thin) axis stays 4 points; every other axis scales by n / nx
+    shapes = {}
+    for n in cfg.convergence_resolutions:
+        shapes[n] = {"nx": n}
+        for axis in ("ny", "nz"):
+            size = getattr(cfg, axis)
+            scaled, rest = divmod(size * n, cfg.nx)
+            if size != 4 and (rest or scaled < 4):
+                raise ConfigError(
+                    f"convergence.resolutions: at resolution {n}, {axis} = "
+                    f"{size} scales to {size * n / cfg.nx:g}, not an integer >= 4")
+            shapes[n][axis] = 4 if size == 4 else scaled
 
     def factory(n):
-        scale = n / cfg.nx
-        return dataclasses.replace(cfg, nx=n, ny=max(4, round(cfg.ny * scale)),
-                                   nz=max(4, round(cfg.nz * scale))).build_case()
+        return dataclasses.replace(cfg, **shapes[n]).build_case()
 
     try:
         result = convergence_study(factory, cfg.convergence_resolutions,

@@ -77,7 +77,7 @@ class RunConfig:
     def build_case(self):
         return build_scenario(
             self.scenario, self.grid(), self.formulation_enum(),
-            self.scenario_params, gamma=self.gamma, c=self.c,
+            self.scenario_params, gamma=self.gamma,
             seed=self.seed, order=self.stencil_order,
         )
 

@@ -52,13 +52,6 @@ def _skew(u: np.ndarray) -> np.ndarray:
     return np.array([[0.0, -uz, uy], [uz, 0.0, -ux], [-uy, ux, 0.0]])
 
 
-def modified_wavevector(kvec, grid: GridSpec, order: int = 2) -> np.ndarray:
-    kvec = np.asarray(kvec, dtype=float)
-    return np.array(
-        [modified_wavenumber(kvec[i], grid.spacings[i], order) for i in range(3)]
-    )
-
-
 def wavevector_from_modes(modes, grid: GridSpec) -> np.ndarray:
     """Physical wavevector for integer mode numbers (waves per box edge)."""
     m = np.asarray(modes)
@@ -96,7 +89,7 @@ def oracle_matrix(background: SimState, modes, params: PhysParams) -> np.ndarray
     """
     grid = background.grid
     kvec = wavevector_from_modes(modes, grid)
-    kt = modified_wavevector(kvec, grid, params.stencil_order)
+    kt = modified_wavenumber(kvec, np.array(grid.spacings), params.stencil_order)
     rho0, p0, h0 = _rest_values(background)
     L = np.zeros((8, 8), dtype=complex)
 
@@ -241,7 +234,8 @@ def dispersion(background: SimState, modes, params: PhysParams) -> DispersionRes
 
     return DispersionResult(
         omega=omega,
-        ktilde=modified_wavevector(kvec, grid, params.stencil_order),
+        ktilde=modified_wavenumber(kvec, np.array(grid.spacings),
+                                   params.stencil_order),
         jacobian=jac,
         pairing_error=pairing,
         eps_sensitivity=float(sens),

@@ -128,11 +128,6 @@ def e_from_a_dot(a_dot: np.ndarray, c: float = 1.0) -> np.ndarray:
     return -a_dot / c
 
 
-def e_ideal_ohm(v: np.ndarray, h: np.ndarray, c: float = 1.0) -> np.ndarray:
-    """Ideal-conductor field E = -(1/c) v x H."""
-    return -ops.cross(v, h) / c
-
-
 def force_lorentz(j: np.ndarray, h: np.ndarray, c: float = 1.0) -> np.ndarray:
     """Lorentz force density (1/c) j x H."""
     return ops.cross(j, h) / c

@@ -216,8 +216,7 @@ def random_solenoidal(
 
     a = draw_field()
     v = draw_field()
-    if amplitude > 0.0:
-        a, _ = helmholtz_project(a, grid, order)
+    a, _ = helmholtz_project(a, grid, order)
 
     state = _mag_state(
         grid, formulation, v, np.full(grid.shape, rho0), np.full(grid.shape, p0),
@@ -280,7 +279,6 @@ def manufactured(
     grid: GridSpec,
     formulation: Formulation = Formulation.MODIFIED,
     gamma: float = 5.0 / 3.0,
-    c: float = 1.0,
 ) -> CaseSetup:
     """Manufactured-solution case: exact fields plus the matching sources.
 
@@ -300,8 +298,8 @@ def manufactured(
     the continuum RHS in product-rule form, independent of ``dynamics`` and
     the stencils: each field is a time factor times a spatial shape, whose
     derivatives are exact FFT derivatives taken once per case.  ``gamma``
-    and ``c`` must equal the run's physics parameters; ``exact`` and
-    ``source`` accept only ``grid``.
+    must equal the run's physics parameter; ``exact`` and ``source``
+    accept only ``grid``.
     """
     lengths = (grid.lx, grid.ly, grid.lz)
     phase = [(2.0 * math.pi / L) * x for L, x in zip(lengths, grid.meshes())]
@@ -338,10 +336,11 @@ def manufactured(
     if formulation is Formulation.MODIFIED:
         mag_hat = a_hat
         x1, x0 = cross(v_hat, h_hat), cross(v_hat, h0)
-        # f = -[(j.grad)A + M j]/c with j = (c/4pi) curl H and M j = (H0 x j)/2
-        j_hat = [(c / FOUR_PI) * g for g in curl_h]
-        f2 = [-g / c for g in along(j_hat, a_hat)]
-        f1 = [-0.5 * g / c for g in cross(h0, j_hat)]
+        # f = -[(j.grad)A + M j]/c with j = (c/4pi) curl H and M j = (H0 x j)/2;
+        # c cancels, so j and f are taken at c = 1
+        j_hat = [(1.0 / FOUR_PI) * g for g in curl_h]
+        f2 = [-g for g in along(j_hat, a_hat)]
+        f1 = [-0.5 * g for g in cross(h0, j_hat)]
     else:
         # curl(v x H_tot) = (H_tot.grad)v - (v.grad)H - H_tot div v
         mag_hat = h_hat
@@ -403,7 +402,6 @@ def build_scenario(
     formulation: Formulation,
     scenario_params: dict | None = None,
     gamma: float = 5.0 / 3.0,
-    c: float = 1.0,
     seed: int = 7,
     order: int = 2,
 ) -> CaseSetup:
@@ -438,4 +436,4 @@ def build_scenario(
     if name == "orszag_tang_like":
         return orszag_tang_like(grid, formulation, params["rho0"], params["p0"],
                                 params["a0"], params["v0"])
-    return manufactured(grid, formulation, gamma, c)
+    return manufactured(grid, formulation, gamma)

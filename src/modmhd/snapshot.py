@@ -35,6 +35,8 @@ from .state import SimState
 MAGIC = b"MODMHD1\x00"
 VERSION = 1
 _NAME_LEN = 16
+# magic, version, nx ny nz, lx ly lz t, formulation code: 57 bytes
+_HEADER = struct.Struct("<8sI3I4dB")
 
 
 class SnapshotError(RuntimeError):
@@ -45,13 +47,6 @@ def _field_names(formulation: Formulation):
     mag = ("Ax", "Ay", "Az") if formulation is Formulation.MODIFIED \
         else ("Hx", "Hy", "Hz")
     return mag + ("vx", "vy", "vz", "rho", "P")
-
-
-def _pack_name(name: str) -> bytes:
-    raw = name.encode("ascii")
-    if len(raw) > _NAME_LEN:
-        raise SnapshotError(f"field name too long: {name!r}")
-    return raw.ljust(_NAME_LEN, b"\x00")
 
 
 def atomic_write(path, data: bytes) -> None:
@@ -74,23 +69,15 @@ def atomic_write(path, data: bytes) -> None:
 
 def write_snapshot(path, state: SimState) -> None:
     g = state.grid
-    parts = [MAGIC, struct.pack("<I", VERSION),
-             struct.pack("<3I", g.nx, g.ny, g.nz),
-             struct.pack("<4d", g.lx, g.ly, g.lz, state.t)]
-    if state.formulation is Formulation.MODIFIED:
-        parts.append(struct.pack("<B", 0))
-        parts.append(state.bg.matrix.astype("<f8").tobytes())
-        mag = state.a
-    else:
-        parts.append(struct.pack("<B", 1))
-        parts.append(state.h0.astype("<f8").tobytes())
-        mag = state.h
+    modified = state.formulation is Formulation.MODIFIED
+    background = state.bg.matrix if modified else state.h0
     names = _field_names(state.formulation)
-    scalars = (mag[0], mag[1], mag[2], state.v[0], state.v[1], state.v[2],
-               state.rho, state.p)
-    parts.append(struct.pack("<I", len(names)))
-    for name, arr in zip(names, scalars):
-        parts.append(_pack_name(name))
+    parts = [_HEADER.pack(MAGIC, VERSION, g.nx, g.ny, g.nz,
+                          g.lx, g.ly, g.lz, state.t, 0 if modified else 1),
+             background.astype("<f8").tobytes(), struct.pack("<I", len(names))]
+    mag, v, rho, p = state.fields
+    for name, arr in zip(names, (*mag, *v, rho, p)):
+        parts.append(name.encode("ascii").ljust(_NAME_LEN, b"\x00"))
         parts.append(np.ascontiguousarray(arr).astype("<f8").tobytes(order="F"))
 
     atomic_write(path, b"".join(parts))
@@ -111,57 +98,45 @@ class _Reader:
         self.pos += n
         return out
 
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
 
 def read_snapshot(path) -> SimState:
     with open(path, "rb") as handle:
         rd = _Reader(handle.read())
-    if rd.take(len(MAGIC)) != MAGIC:
+    magic = rd.take(len(MAGIC))
+    if magic != MAGIC:
         raise SnapshotError("not a snapshot file (bad magic)")
-    (version,) = rd.unpack("<I")
+    _, version, nx, ny, nz, lx, ly, lz, t, form_code = _HEADER.unpack(
+        magic + rd.take(_HEADER.size - len(MAGIC)))
     if version != VERSION:
         raise SnapshotError(
             f"unsupported snapshot version {version} (this build reads "
             f"version {VERSION})"
         )
-    nx, ny, nz = rd.unpack("<3I")
-    lx, ly, lz, t = rd.unpack("<4d")
-    (form_code,) = rd.unpack("<B")
     if form_code not in (0, 1):
         raise SnapshotError(f"unknown formulation code {form_code}")
-    formulation = Formulation.MODIFIED if form_code == 0 else Formulation.TRADITIONAL
-    if formulation is Formulation.MODIFIED:
-        matrix = np.frombuffer(rd.take(72), dtype="<f8").reshape(3, 3)
-        bg, h0 = em.BackgroundPotential(matrix), None
-    else:
-        bg, h0 = None, np.frombuffer(rd.take(24), dtype="<f8").copy()
-    grid = GridSpec(nx, ny, nz, lx, ly, lz)
+    modified = form_code == 0
+    formulation = Formulation.MODIFIED if modified else Formulation.TRADITIONAL
+    background = np.frombuffer(rd.take(72 if modified else 24), dtype="<f8")
 
-    (count,) = rd.unpack("<I")
+    (count,) = struct.unpack("<I", rd.take(4))
     expected = _field_names(formulation)
     if count != len(expected):
         raise SnapshotError(f"expected {len(expected)} fields, header says {count}")
-    scalars = {}
+    scalars = []
     nbytes = 8 * nx * ny * nz
     for want in expected:
         name = rd.take(_NAME_LEN).rstrip(b"\x00").decode("ascii", "replace")
         if name != want:
             raise SnapshotError(f"expected field {want!r}, found {name!r}")
         flat = np.frombuffer(rd.take(nbytes), dtype="<f8")
-        scalars[want] = flat.reshape((nx, ny, nz), order="F").copy()
+        scalars.append(flat.reshape((nx, ny, nz), order="F").copy())
     if rd.pos != len(rd.blob):
         raise SnapshotError(f"{len(rd.blob) - rd.pos} trailing bytes after fields")
 
-    vec = np.stack
-    v = vec([scalars["vx"], scalars["vy"], scalars["vz"]])
-    kwargs = dict(grid=grid, formulation=formulation, v=v,
-                  rho=scalars["rho"], p=scalars["P"], t=t)
-    if formulation is Formulation.MODIFIED:
-        kwargs["a"] = vec([scalars["Ax"], scalars["Ay"], scalars["Az"]])
-        kwargs["bg"] = bg
-    else:
-        kwargs["h"] = vec([scalars["Hx"], scalars["Hy"], scalars["Hz"]])
-        kwargs["h0"] = h0
-    return SimState(**kwargs)
+    mag, v, (rho, p) = np.stack(scalars[:3]), np.stack(scalars[3:6]), scalars[6:]
+    common = dict(grid=GridSpec(nx, ny, nz, lx, ly, lz), formulation=formulation,
+                  v=v, rho=rho, p=p, t=t)
+    if modified:
+        return SimState(**common, a=mag,
+                        bg=em.BackgroundPotential(background.reshape(3, 3)))
+    return SimState(**common, h=mag, h0=background.copy())

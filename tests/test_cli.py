@@ -329,6 +329,49 @@ def test_convergence_numerical_failure_exits_3(tmp_path, capsys):
     assert not (out / "convergence.csv").exists()
 
 
+class _Stop(Exception):
+    pass
+
+
+def test_convergence_keeps_thin_axis_and_scales_the_rest(tmp_path, monkeypatch):
+    shapes = []
+
+    def record(factory, resolutions, t_end, params=None):
+        shapes.extend(factory(n).state.grid.shape for n in resolutions)
+        raise _Stop
+
+    monkeypatch.setattr(cli, "convergence_study", record)
+    path = tmp_path / "conv.cfg"
+    path.write_text(
+        BASE.replace("grid.nx = 16\ngrid.ny = 16\ngrid.nz = 16\n",
+                     "grid.nx = 32\ngrid.ny = 32\ngrid.nz = 4\n")
+        + 'scenario.name = "orszag_tang_like"\n'
+        'convergence.resolutions = "16,32,64"\n'
+    )
+    with pytest.raises(_Stop):
+        cli.main(["convergence", "--config", str(path), "--out-dir", str(tmp_path / "o")])
+    assert shapes == [(16, 16, 4), (32, 32, 4), (64, 64, 4)]
+
+
+def test_convergence_axis_that_does_not_scale_is_config_error(tmp_path, capsys,
+                                                               monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("no case may be built for a bad grid")
+
+    monkeypatch.setattr(cli, "convergence_study", never)
+    path = tmp_path / "conv.cfg"
+    path.write_text(
+        BASE.replace("grid.nx = 16\ngrid.ny = 16\ngrid.nz = 16\n",
+                     "grid.nx = 48\ngrid.ny = 20\ngrid.nz = 4\n")
+        + 'scenario.name = "orszag_tang_like"\n'
+        'convergence.resolutions = "16,32"\n'
+    )
+    rc = cli.main(["convergence", "--config", str(path), "--out-dir", str(tmp_path / "o")])
+    assert rc == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "ny" in err and "resolution 16" in err
+
+
 def test_convergence_single_resolution_is_config_error(tmp_path, capsys):
     path = tmp_path / "conv.cfg"
     path.write_text(ALFVEN_SLAB + 'convergence.resolutions = "16"\n')

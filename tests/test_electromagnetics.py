@@ -9,7 +9,6 @@ from modmhd import (
     TwoFluidState,
     current_from_a,
     e_from_a_dot,
-    e_ideal_ohm,
     force_lorentz,
     force_modified,
     force_modified_from_a,
@@ -104,15 +103,6 @@ def test_e_from_a_dot_scaling():
     a_dot = full_vector(g, (0.0, 2.0 * c, 0.0))
     assert np.allclose(e_from_a_dot(a_dot, c), full_vector(g, (0.0, -2.0, 0.0)))
     assert np.all(e_from_a_dot(np.zeros(g.vshape)) == 0.0)
-
-
-def test_e_ideal_ohm():
-    g = cube(8)
-    v = full_vector(g, (1.0, 0.0, 0.0))
-    h = full_vector(g, (0.0, 1.0, 0.0))
-    assert np.allclose(e_ideal_ohm(v, h, 1.0), full_vector(g, (0.0, 0.0, -1.0)))
-    assert np.all(e_ideal_ohm(v, 2.0 * v, 1.0) == 0.0)
-    assert np.all(e_ideal_ohm(np.zeros(g.vshape), h, 1.0) == 0.0)
 
 
 def test_force_lorentz():

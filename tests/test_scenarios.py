@@ -184,6 +184,14 @@ def test_random_solenoidal_divergence_free():
     assert ops.l2_norm(ops.div(st.a, g), g) <= 1e-10 * scale
 
 
+def test_random_solenoidal_negative_amplitude_is_projected():
+    # the sign flips every coefficient; A must still be divergence-free
+    g = cube(16)
+    st = random_solenoidal(g, amplitude=-0.05).state
+    scale = ops.l2_norm(st.a, g)
+    assert ops.l2_norm(ops.div(st.a, g), g) <= 1e-10 * scale
+
+
 def test_random_solenoidal_zero_amplitude():
     g = cube(8)
     st = random_solenoidal(g, amplitude=0.0, b0=0.25).state

@@ -124,3 +124,39 @@ def test_round_trip_preserves_cube_grid(tmp_path):
     back = read_snapshot(path)
     assert back.grid.lx == back.grid.ly == back.grid.lz == 3.0
     assert back.grid.nx == 8
+
+
+def _documented_v1_bytes(st):
+    """The v1 layout of the module docstring, assembled field by field."""
+    g = st.grid
+    modified = st.formulation is Formulation.MODIFIED
+    blob = b"MODMHD1\x00" + struct.pack("<I", 1)
+    blob += struct.pack("<3I", g.nx, g.ny, g.nz)
+    blob += struct.pack("<4d", g.lx, g.ly, g.lz, st.t)
+    if modified:
+        blob += struct.pack("<B", 0) + struct.pack("<9d", *st.bg.matrix.ravel())
+        named = (("Ax", st.a[0]), ("Ay", st.a[1]), ("Az", st.a[2]))
+    else:
+        blob += struct.pack("<B", 1) + struct.pack("<3d", *st.h0)
+        named = (("Hx", st.h[0]), ("Hy", st.h[1]), ("Hz", st.h[2]))
+    named += (("vx", st.v[0]), ("vy", st.v[1]), ("vz", st.v[2]),
+              ("rho", st.rho), ("P", st.p))
+    blob += struct.pack("<I", 8)
+    for name, arr in named:
+        values = [arr[i, j, k] for k in range(g.nz) for j in range(g.ny)
+                  for i in range(g.nx)]
+        blob += struct.pack("<16s", name.encode()) + struct.pack(f"<{len(values)}d", *values)
+    return blob
+
+
+@pytest.mark.parametrize("formulation",
+                         [Formulation.MODIFIED, Formulation.TRADITIONAL])
+def test_bytes_follow_documented_v1_layout(tmp_path, formulation):
+    from modmhd import GridSpec, random_solenoidal
+
+    case = random_solenoidal(GridSpec(8, 6, 4, 1.0, 2.5, 7.0), formulation,
+                             b0=0.3, seed=3)
+    st = case.state.with_fields(*case.state.fields, t=3.375)
+    path = tmp_path / "snap.bin"
+    write_snapshot(path, st)
+    assert path.read_bytes() == _documented_v1_bytes(st)
