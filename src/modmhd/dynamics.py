@@ -19,10 +19,22 @@ the formulation, and the fluid lines are written once.  Both are
 marched with classical RK4 (method of lines); the solenoidal gauge of A
 is re-imposed after completed steps according to the gauge policy, never
 inside RK stages, and the pre-projection drift is recorded.
+
+The induction/force half and the fluid half of the RHS are independent
+until the force joins dv/dt.  On grids of more than 32^3 points, when the
+process may use more than one CPU, ``compute_rhs`` runs the first half on
+a helper thread beside the second (numpy releases the GIL inside its
+array loops); otherwise it runs both in turn on the calling thread.  Both
+paths perform the same operations on the same arrays, so the results are
+bitwise the serial ones.  The thread is started and joined inside each
+call.  ``OPENBLAS_NUM_THREADS`` does not govern it; the CPU affinity does,
+so running under ``taskset -c 0`` keeps every RHS on one thread.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from collections import namedtuple
 from dataclasses import replace
 
@@ -50,13 +62,21 @@ class SimulationError(RuntimeError):
         self.records = records
 
 
-def compute_rhs(state: SimState, params: PhysParams) -> Rhs:
-    """Semidiscrete right-hand side of either formulation.
+#: Grids with more points than this overlap the two halves of the RHS on
+#: two threads; on smaller ones the thread hand-offs cost more than they save.
+_OVERLAP_MIN_POINTS = 32 ** 3
 
-    Only the induction and force laws branch on the formulation; the
-    fluid lines are shared, so the two systems differ in nothing else.
-    """
-    validate_state(state)
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where there is one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _induction_and_force(state: SimState, params: PhysParams):
+    """The formulation's own half of the RHS: (d mag/dt, force density)."""
     g = state.grid
     o = params.stencil_order
     if state.formulation is Formulation.MODIFIED:
@@ -72,12 +92,46 @@ def compute_rhs(state: SimState, params: PhysParams) -> Rhs:
         h_tot = state.h + state.h0[:, None, None, None]
         dmag = ops.curl(ops.cross(state.v, h_tot), g, o)
         force = ops.cross(ops.curl(state.h, g, o), h_tot) / FOUR_PI
-    gradp = ops.grad(state.p, g, o)
-    dv = -ops.advect(state.v, state.v, g, o)
-    dv -= gradp / state.rho
+    return dmag, force
+
+
+def compute_rhs(state: SimState, params: PhysParams) -> Rhs:
+    """Semidiscrete right-hand side of either formulation.
+
+    Only the induction and force laws branch on the formulation; the
+    fluid lines are shared, so the two systems differ in nothing else.
+    On large grids the two halves run on two threads (see the module
+    docstring), with bitwise the same result.
+    """
+    validate_state(state)
+    g = state.grid
+    o = params.stencil_order
+    outcome = []
+    helper = None
+    if g.npoints > _OVERLAP_MIN_POINTS and _usable_cpus() > 1:
+        def half():
+            try:
+                outcome.append(_induction_and_force(state, params))
+            except BaseException as exc:
+                outcome.append(exc)
+
+        helper = threading.Thread(target=half, name="modmhd-rhs")
+        helper.start()
+    else:
+        outcome.append(_induction_and_force(state, params))
+    try:
+        gradp = ops.grad(state.p, g, o)
+        dv = -ops.advect(state.v, state.v, g, o)
+        dv -= gradp / state.rho
+        drho = -ops.div(state.rho * state.v, g, o)
+        dp = -ops.dot(state.v, gradp) - params.gamma * state.p * ops.div(state.v, g, o)
+    finally:
+        if helper is not None:
+            helper.join()
+    if isinstance(outcome[0], BaseException):
+        raise outcome[0]
+    dmag, force = outcome[0]
     dv += force / state.rho
-    drho = -ops.div(state.rho * state.v, g, o)
-    dp = -ops.dot(state.v, gradp) - params.gamma * state.p * ops.div(state.v, g, o)
     return Rhs(dmag, dv, drho, dp)
 
 
@@ -125,24 +179,38 @@ def step_rk4(
     def deriv(s: SimState, t_stage: float) -> Rhs:
         d = compute_rhs(s, params)
         if source is not None:
-            d = Rhs(*(f + g for f, g in zip(d, source(s.grid, t_stage))))
+            for f, g in zip(d, source(s.grid, t_stage)):
+                f += g
         return d
 
-    def shift(s: SimState, c: float, k: Rhs) -> SimState:
-        return s.with_fields(*(f + c * g for f, g in zip(s.fields, k)), s.t)
+    # stage states share one buffer set: each is dead once its k is taken
+    buffers = tuple(np.empty(f.shape) for f in state.fields)
 
+    def shift(c: float, k: Rhs) -> SimState:
+        for buf, f, g in zip(buffers, state.fields, k):
+            np.multiply(c, g, out=buf)
+            np.add(f, buf, out=buf)
+        return state.with_fields(*buffers, state.t)
+
+    # a running sum in the order of f + w*(k1 + 2 k2 + 2 k3 + k4); k2 and
+    # k3 join it once their stage state is built and are freed before the
+    # next RHS, so at most one k is held beside the sum
     t0 = state.t
-    k1 = deriv(state, t0)
-    k2 = deriv(shift(state, 0.5 * dt, k1), t0 + 0.5 * dt)
-    k3 = deriv(shift(state, 0.5 * dt, k2), t0 + 0.5 * dt)
-    k4 = deriv(shift(state, dt, k3), t0 + dt)
-
+    acc = deriv(state, t0)
+    k = deriv(shift(0.5 * dt, acc), t0 + 0.5 * dt)
+    for c in (0.5 * dt, dt):
+        stage = shift(c, k)
+        for a, b in zip(acc, k):
+            b *= 2.0
+            a += b
+        del k, b
+        k = deriv(stage, t0 + c)
     w = dt / 6.0
-    new = state.with_fields(
-        *(f + w * (a + 2.0 * b + 2.0 * c + d)
-          for f, a, b, c, d in zip(state.fields, k1, k2, k3, k4)),
-        t0 + dt,
-    )
+    for a, b, f in zip(acc, k, state.fields):
+        a += b
+        a *= w
+        a += f
+    new = state.with_fields(*acc, t0 + dt)
 
     drift = None
     if new.formulation is Formulation.MODIFIED and params.gauge.due(step_index + 1):
@@ -191,12 +259,14 @@ def run(
 
     try:
         validate_state(state)
-        record(cfl_dt(state, params), None)
+        dt = cfl_dt(state, params)
+        record(dt, None)
         if on_step is not None:
             on_step(state, 0)
         step = 0
         while state.t < t_end:
-            dt = cfl_dt(state, params)
+            if step > 0:
+                dt = cfl_dt(state, params)
             remaining = t_end - state.t
             final = remaining <= 1.01 * dt
             if final:

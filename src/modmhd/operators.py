@@ -49,10 +49,13 @@ def _pair(op, f: np.ndarray, axis: int, k: int, out: np.ndarray) -> np.ndarray:
 
 
 def _d1(f: np.ndarray, axis: int, h: float, order: int,
-        out: np.ndarray | None = None) -> np.ndarray:
+        out: np.ndarray | None = None,
+        scratch: np.ndarray | None = None) -> np.ndarray:
     """First derivative along one axis (periodic central difference).
 
-    Written into ``out`` when given (it must not overlap ``f``).
+    Written into ``out`` when given (it must not overlap ``f``).  Order 4
+    holds its k=2 difference in ``scratch`` when given, so an operator
+    that differentiates several times allocates it once (see ``_scratch``).
     """
     if order not in (2, 4):
         raise ValueError(f"stencil order must be 2 or 4, got {order}")
@@ -62,10 +65,21 @@ def _d1(f: np.ndarray, axis: int, h: float, order: int,
     if order == 2:
         out /= 2.0 * h
         return out
+    if scratch is None:
+        scratch = np.empty(f.shape)
     out *= 8.0
-    out -= _pair(np.subtract, f, axis, 2, np.empty(f.shape))
+    out -= _pair(np.subtract, f, axis, 2, scratch)
     out /= 12.0 * h
     return out
+
+
+def _scratch(shape: tuple[int, ...], order: int) -> np.ndarray | None:
+    """One per-call buffer for ``_d1``'s order-4 k=2 difference.
+
+    Allocated per operator call, not cached, so concurrent callers never
+    share it; order 2 needs none.
+    """
+    return np.empty(shape) if order == 4 else None
 
 
 def modified_wavenumber(k, spacing: float, order: int = 2):
@@ -102,18 +116,20 @@ def grad(s: np.ndarray, grid: GridSpec, order: int = 2) -> np.ndarray:
     """Gradient of a scalar field: (d/dx, d/dy, d/dz) s."""
     h = grid.spacings
     out = np.empty((3,) + s.shape)
+    scratch = _scratch(s.shape, order)
     for ax in range(3):
-        _d1(s, ax, h[ax], order, out[ax])
+        _d1(s, ax, h[ax], order, out[ax], scratch)
     return out
 
 
 def div(v: np.ndarray, grid: GridSpec, order: int = 2) -> np.ndarray:
     """Divergence of a vector field."""
     h = grid.spacings
-    out = _d1(v[0], 0, h[0], order)
-    d = _d1(v[1], 1, h[1], order)
+    scratch = _scratch(v.shape[1:], order)
+    out = _d1(v[0], 0, h[0], order, scratch=scratch)
+    d = _d1(v[1], 1, h[1], order, scratch=scratch)
     out += d
-    out += _d1(v[2], 2, h[2], order, d)
+    out += _d1(v[2], 2, h[2], order, d, scratch)
     return out
 
 
@@ -122,9 +138,10 @@ def curl(v: np.ndarray, grid: GridSpec, order: int = 2) -> np.ndarray:
     h = grid.spacings
     out = np.empty(v.shape)
     d = np.empty(v.shape[1:])
+    scratch = _scratch(d.shape, order)
     for i, j, k in _CYCLIC:
-        _d1(v[k], j, h[j], order, out[i])
-        out[i] -= _d1(v[j], k, h[k], order, d)
+        _d1(v[k], j, h[j], order, out[i], scratch)
+        out[i] -= _d1(v[j], k, h[k], order, d, scratch)
     return out
 
 
@@ -138,10 +155,11 @@ def advect(v: np.ndarray, w: np.ndarray, grid: GridSpec, order: int = 2) -> np.n
     h = grid.spacings
     out = np.empty(w.shape)
     d = np.empty(w.shape[1:])
+    scratch = _scratch(d.shape, order)
     for i in range(3):
-        np.multiply(v[0], _d1(w[i], 0, h[0], order, d), out=out[i])
+        np.multiply(v[0], _d1(w[i], 0, h[0], order, d, scratch), out=out[i])
         for k in (1, 2):
-            _d1(w[i], k, h[k], order, d)
+            _d1(w[i], k, h[k], order, d, scratch)
             d *= v[k]
             out[i] += d
     return out
@@ -156,10 +174,11 @@ def grad_contract(v: np.ndarray, w: np.ndarray, grid: GridSpec, order: int = 2) 
     h = grid.spacings
     out = np.empty(w.shape)
     d = np.empty(w.shape[1:])
+    scratch = _scratch(d.shape, order)
     for i in range(3):
-        np.multiply(v[0], _d1(w[0], i, h[i], order, d), out=out[i])
+        np.multiply(v[0], _d1(w[0], i, h[i], order, d, scratch), out=out[i])
         for k in (1, 2):
-            _d1(w[k], i, h[i], order, d)
+            _d1(w[k], i, h[i], order, d, scratch)
             d *= v[k]
             out[i] += d
     return out

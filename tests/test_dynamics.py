@@ -1,8 +1,11 @@
 """State validation, the shared RHS, RK4, gauge policy, and run()."""
 
+import threading
+
 import numpy as np
 import pytest
 
+import modmhd.dynamics as dynamics
 import modmhd.operators as ops
 from modmhd import (
     Formulation,
@@ -178,6 +181,67 @@ def test_continuity_against_analytic_gradient():
     assert ops.max_norm(rhs.rho + u0 * eps * np.cos(x)) < 1e-4
     assert ops.max_norm(rhs.v) < 1e-14
     assert np.all(rhs.p == 0.0)
+
+
+# -- the two-thread RHS ----------------------------------------------------------
+
+def _overlap_case(formulation, order):
+    """A state on a grid above the two-thread threshold, with a background."""
+    g = GridSpec(40, 36, 24, 1.0, 2.5, 7.0)
+    assert g.npoints > dynamics._OVERLAP_MIN_POINTS
+    return random_solenoidal(g, formulation, b0=0.5, amplitude=0.3,
+                             seed=2, order=order).state
+
+
+def _record_half_threads(monkeypatch):
+    """Spy on the thread that computes the induction/force half."""
+    threads = []
+    inner = dynamics._induction_and_force
+
+    def spy(state, params):
+        threads.append(threading.current_thread())
+        return inner(state, params)
+
+    monkeypatch.setattr(dynamics, "_induction_and_force", spy)
+    return threads
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("formulation", list(Formulation))
+def test_threaded_rhs_matches_inline_bitwise(formulation, order, monkeypatch):
+    st = _overlap_case(formulation, order)
+    params = PhysParams(stencil_order=order, c=1.3)
+    threads = _record_half_threads(monkeypatch)
+    monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 2)
+    threaded = compute_rhs(st, params)
+    monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 1)
+    inline = compute_rhs(st, params)
+    main = threading.main_thread()
+    assert threads[0] is not main and threads[1] is main
+    assert ops.max_norm(inline.mag) > 0.0 and ops.max_norm(inline.v) > 0.0
+    for got, want in zip(threaded, inline):
+        assert np.array_equal(got, want)
+
+
+def test_rhs_helper_failure_propagates_and_leaves_no_thread(monkeypatch):
+    st = _overlap_case(Formulation.TRADITIONAL, 2)
+    params = PhysParams()
+    monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 2)
+    before = threading.active_count()
+    compute_rhs(st, params)
+    assert threading.active_count() == before
+
+    raised_in = []
+
+    def broken_cross(u, v):
+        raised_in.append(threading.current_thread())
+        raise RuntimeError("cross failed")
+
+    monkeypatch.setattr(ops, "cross", broken_cross)
+    with pytest.raises(RuntimeError, match="cross failed"):
+        compute_rhs(st, params)
+    assert raised_in and raised_in[0] is not threading.main_thread()
+    assert threading.active_count() == before
 
 
 # -- CFL ------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import modmhd.operators as ops
+from modmhd import GridSpec
 from modmhd.grid import full_vector
 
 from conftest import TWO_PI, cube, operator_errors, smooth_scalar, smooth_vector
@@ -212,6 +213,28 @@ def test_slice_kernels_match_roll_bitwise(order):
                 assert np.array_equal(d1, _roll_d1(f, axis, h, order))
                 d2 = ops._d2(f, axis, h, order)
                 assert np.array_equal(d2, _roll_d2(f, axis, h, order))
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_composite_operators_match_roll_bitwise(order):
+    # the composite operators share one order-4 scratch between their
+    # derivatives; each derivative must still be the textbook formula
+    g = GridSpec(9, 8, 7, 1.0, 2.5, 7.0)
+    rng = np.random.default_rng(order)
+    s = rng.standard_normal(g.shape)
+    v, w = rng.standard_normal((2,) + g.vshape)
+
+    def d(f, axis):
+        return _roll_d1(f, axis, g.spacings[axis], order)
+
+    assert np.array_equal(ops.grad(s, g, order), np.stack([d(s, ax) for ax in range(3)]))
+    assert np.array_equal(ops.div(v, g, order), d(v[0], 0) + d(v[1], 1) + d(v[2], 2))
+    assert np.array_equal(ops.curl(v, g, order),
+                          np.stack([d(v[k], j) - d(v[j], k) for _, j, k in ops._CYCLIC]))
+    assert np.array_equal(ops.advect(v, w, g, order), np.stack(
+        [v[0] * d(w[i], 0) + v[1] * d(w[i], 1) + v[2] * d(w[i], 2) for i in range(3)]))
+    assert np.array_equal(ops.grad_contract(v, w, g, order), np.stack(
+        [v[0] * d(w[0], i) + v[1] * d(w[1], i) + v[2] * d(w[2], i) for i in range(3)]))
 
 
 def test_slice_kernel_rejects_axis_shorter_than_stencil():
