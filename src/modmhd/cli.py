@@ -12,6 +12,7 @@ torn file.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import os
 import sys
@@ -32,6 +33,31 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+
+# glibc mallopt parameters
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_heap() -> None:
+    """Stop glibc from handing freed field arrays back to the kernel.
+
+    Every RK4 stage allocates and frees the same few-megabyte arrays.
+    glibc's dynamic thresholds follow the largest block freed so far; on
+    a 32^3 run they settle near 2 MiB (mmap) and 4 MiB (trim), so the heap
+    top is handed back as a stage's temporaries are freed and the next
+    stage faults those pages in again: about 1400 minor faults a step,
+    and steps that slow down and spread when the host is loaded.  The
+    command line owns its process, so it pins both thresholds at the
+    ceilings that the dynamic rule can reach (32 and 64 MiB).  A libc
+    without ``mallopt`` is left alone.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 
 
 def _fmt(x) -> str:
@@ -248,6 +274,7 @@ def main(argv=None) -> int:
 
     if args.command == "info":
         return cmd_info()
+    _keep_freed_heap()
     try:
         cfg = _load_config(args)
         if args.command == "run":

@@ -3,6 +3,8 @@
 import csv
 import dataclasses
 import os
+import platform
+import resource
 
 import numpy as np
 import pytest
@@ -378,3 +380,20 @@ def test_convergence_single_resolution_is_config_error(tmp_path, capsys):
     rc = cli.main(["convergence", "--config", str(path), "--out-dir", str(tmp_path / "o")])
     assert rc == 2
     assert "at least two" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc mallopt")
+def test_pinned_allocator_keeps_freed_field_memory():
+    # six 1 MiB fields freed together and allocated again reuse the same
+    # pages; with glibc's default thresholds they are unmapped or trimmed
+    # and faulted back in (256 pages each, every round)
+    def churn(rounds):
+        for _ in range(rounds):
+            fields = [np.ones(1 << 17) for _ in range(6)]
+            del fields
+
+    cli._keep_freed_heap()
+    churn(2)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    churn(10)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 256
