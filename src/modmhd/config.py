@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .grid import GridSpec
+from .grid import STENCIL_POINTS, GridSpec
 from .params import Formulation, GaugePolicy, PhysParams
 from .scenarios import SCENARIO_DEFAULTS, build_scenario
 
@@ -148,7 +148,7 @@ _KEYS = {
     "numerics.courant": ("courant", _parse_float, "in (0, 1]",
                          lambda v: 0 < v <= 1),
     "numerics.stencil_order": ("stencil_order", _parse_int, "2 or 4",
-                               lambda v: v in (2, 4)),
+                               lambda v: v in STENCIL_POINTS),
     "numerics.gauge_policy": ("gauge_policy", str, "off, every_step or every_n",
                               lambda v: v in ("off", "every_step", "every_n")),
     "numerics.gauge_n": ("gauge_n", _parse_int, ">= 1", lambda v: v >= 1),

@@ -8,7 +8,6 @@ import numpy as np
 
 from . import electromagnetics as em
 from . import operators as ops
-from .grid import GridSpec
 from .params import Formulation, PhysParams
 from .projection import helmholtz_project
 from .state import SimState

@@ -85,9 +85,11 @@ def oracle_matrix(background: SimState, modes, params: PhysParams) -> np.ndarray
     ``background`` is a uniform rest state (e.g. ``uniform_rest(...).state``)
     on the grid whose stencils the matrix describes.  Rows/columns are
     ordered (mag_x, mag_y, mag_z, v_x, v_y, v_z, rho, P) with mag = A-hat
-    (modified) or H-hat (traditional).
+    (modified) or H-hat (traditional).  A grid too small for the stencil
+    order raises ValueError.
     """
     grid = background.grid
+    grid.require_order(params.stencil_order)
     kvec = wavevector_from_modes(modes, grid)
     kt = modified_wavenumber(kvec, np.array(grid.spacings), params.stencil_order)
     rho0, p0, h0 = _rest_values(background)
@@ -212,9 +214,11 @@ def dispersion(background: SimState, modes, params: PhysParams) -> DispersionRes
     knowledge of the equations beyond calling the RHS: the state is
     nudged along each cos/sin mode of each of the eight field components,
     the response is projected back onto those modes, and the eigenvalues
-    of the resulting real matrix give the spectrum.
+    of the resulting real matrix give the spectrum.  A grid too small for
+    the stencil order raises ValueError.
     """
     grid = background.grid
+    grid.require_order(params.stencil_order)
     kvec = wavevector_from_modes(modes, grid)
     cosf, sinf = _mode_fields(kvec, grid)
     amps = _amplitudes(background, kvec, params)

@@ -22,6 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+#: Stencil orders and the points per axis each needs.
+STENCIL_POINTS = {2: 4, 4: 8}
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -91,9 +94,9 @@ class GridSpec:
 
     def require_order(self, order: int) -> None:
         """Raise if the grid cannot support the requested stencil order."""
-        if order not in (2, 4):
+        if order not in STENCIL_POINTS:
             raise ValueError(f"stencil order must be 2 or 4, got {order}")
-        need = 4 if order == 2 else 8
+        need = STENCIL_POINTS[order]
         if min(self.nx, self.ny, self.nz) < need:
             raise ValueError(
                 f"order-{order} stencils need at least {need} points per axis, "

@@ -1,10 +1,11 @@
 """Central-difference operators on periodic grids.
 
 All derivative operators are built from the same first-derivative stencil
-(order 2 or 4).  The periodic stencil is applied by slicing: the
-difference f[i+k] - f[i-k] along an axis is written into one output array
-as an interior slice subtraction plus the k wrap-around planes at each
-end, so no shifted copy of the field is made and periodicity is exact.
+(order 2 or 4, the orders of ``grid.STENCIL_POINTS``).  The periodic
+stencil is applied by slicing: the difference f[i+k] - f[i-k] along an
+axis is written into one output array as an interior slice subtraction
+plus the k wrap-around planes at each end, so no shifted copy of the
+field is made and periodicity is exact.
 The arithmetic is the textbook one, operation for operation (subtract,
 scale by 8, subtract, divide by 2h or 12h), so the result is bitwise the
 same as the shift-and-subtract formula with ``np.roll``; the operator
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import GridSpec
+from .grid import STENCIL_POINTS, GridSpec
 
 #: Cyclic index triples (i, j, k): component i of a curl or cross product
 #: pairs j with k.
@@ -49,15 +50,12 @@ def _pair(op, f: np.ndarray, axis: int, k: int, out: np.ndarray) -> np.ndarray:
 
 
 def _d1(f: np.ndarray, axis: int, h: float, order: int,
-        out: np.ndarray | None = None,
-        scratch: np.ndarray | None = None) -> np.ndarray:
+        out: np.ndarray | None = None) -> np.ndarray:
     """First derivative along one axis (periodic central difference).
 
-    Written into ``out`` when given (it must not overlap ``f``).  Order 4
-    holds its k=2 difference in ``scratch`` when given, so an operator
-    that differentiates several times allocates it once (see ``_scratch``).
+    Written into ``out`` when given (it must not overlap ``f``).
     """
-    if order not in (2, 4):
+    if order not in STENCIL_POINTS:
         raise ValueError(f"stencil order must be 2 or 4, got {order}")
     if out is None:
         out = np.empty(f.shape)
@@ -65,21 +63,10 @@ def _d1(f: np.ndarray, axis: int, h: float, order: int,
     if order == 2:
         out /= 2.0 * h
         return out
-    if scratch is None:
-        scratch = np.empty(f.shape)
     out *= 8.0
-    out -= _pair(np.subtract, f, axis, 2, scratch)
+    out -= _pair(np.subtract, f, axis, 2, np.empty(f.shape))
     out /= 12.0 * h
     return out
-
-
-def _scratch(shape: tuple[int, ...], order: int) -> np.ndarray | None:
-    """One per-call buffer for ``_d1``'s order-4 k=2 difference.
-
-    Allocated per operator call, not cached, so concurrent callers never
-    share it; order 2 needs none.
-    """
-    return np.empty(shape) if order == 4 else None
 
 
 def modified_wavenumber(k, spacing: float, order: int = 2):
@@ -97,7 +84,7 @@ def modified_wavenumber(k, spacing: float, order: int = 2):
 
 def _d2(f: np.ndarray, axis: int, h: float, order: int) -> np.ndarray:
     """Compact second derivative along one axis."""
-    if order not in (2, 4):
+    if order not in STENCIL_POINTS:
         raise ValueError(f"stencil order must be 2 or 4, got {order}")
     out = _pair(np.add, f, axis, 1, np.empty(f.shape))
     if order == 2:
@@ -116,20 +103,18 @@ def grad(s: np.ndarray, grid: GridSpec, order: int = 2) -> np.ndarray:
     """Gradient of a scalar field: (d/dx, d/dy, d/dz) s."""
     h = grid.spacings
     out = np.empty((3,) + s.shape)
-    scratch = _scratch(s.shape, order)
     for ax in range(3):
-        _d1(s, ax, h[ax], order, out[ax], scratch)
+        _d1(s, ax, h[ax], order, out[ax])
     return out
 
 
 def div(v: np.ndarray, grid: GridSpec, order: int = 2) -> np.ndarray:
     """Divergence of a vector field."""
     h = grid.spacings
-    scratch = _scratch(v.shape[1:], order)
-    out = _d1(v[0], 0, h[0], order, scratch=scratch)
-    d = _d1(v[1], 1, h[1], order, scratch=scratch)
+    out = _d1(v[0], 0, h[0], order)
+    d = _d1(v[1], 1, h[1], order)
     out += d
-    out += _d1(v[2], 2, h[2], order, d, scratch)
+    out += _d1(v[2], 2, h[2], order, d)
     return out
 
 
@@ -138,10 +123,9 @@ def curl(v: np.ndarray, grid: GridSpec, order: int = 2) -> np.ndarray:
     h = grid.spacings
     out = np.empty(v.shape)
     d = np.empty(v.shape[1:])
-    scratch = _scratch(d.shape, order)
     for i, j, k in _CYCLIC:
-        _d1(v[k], j, h[j], order, out[i], scratch)
-        out[i] -= _d1(v[j], k, h[k], order, d, scratch)
+        _d1(v[k], j, h[j], order, out[i])
+        out[i] -= _d1(v[j], k, h[k], order, d)
     return out
 
 
@@ -150,19 +134,27 @@ def curl_curl(v: np.ndarray, grid: GridSpec, order: int = 2) -> np.ndarray:
     return curl(curl(v, grid, order), grid, order)
 
 
-def advect(v: np.ndarray, w: np.ndarray, grid: GridSpec, order: int = 2) -> np.ndarray:
-    """Advective derivative (V . grad) W, component i: sum_k V_k d_k W_i."""
+def _contract(v: np.ndarray, w: np.ndarray, grid: GridSpec, order: int,
+              on_i: bool) -> np.ndarray:
+    """G_i = sum_k V_k d_k W_i, or sum_k V_k d_i W_k when ``on_i``."""
     h = grid.spacings
     out = np.empty(w.shape)
     d = np.empty(w.shape[1:])
-    scratch = _scratch(d.shape, order)
     for i in range(3):
-        np.multiply(v[0], _d1(w[i], 0, h[0], order, d, scratch), out=out[i])
-        for k in (1, 2):
-            _d1(w[i], k, h[k], order, d, scratch)
-            d *= v[k]
-            out[i] += d
+        for k in range(3):
+            axis, comp = (i, k) if on_i else (k, i)
+            _d1(w[comp], axis, h[axis], order, d)
+            if k == 0:
+                np.multiply(v[0], d, out=out[i])
+            else:
+                d *= v[k]
+                out[i] += d
     return out
+
+
+def advect(v: np.ndarray, w: np.ndarray, grid: GridSpec, order: int = 2) -> np.ndarray:
+    """Advective derivative (V . grad) W, component i: sum_k V_k d_k W_i."""
+    return _contract(v, w, grid, order, on_i=False)
 
 
 def grad_contract(v: np.ndarray, w: np.ndarray, grid: GridSpec, order: int = 2) -> np.ndarray:
@@ -171,17 +163,7 @@ def grad_contract(v: np.ndarray, w: np.ndarray, grid: GridSpec, order: int = 2) 
     Together with the Lorentz force this splits the advective force:
     (V.grad)W = grad_contract(V, W) - V x curl(W).
     """
-    h = grid.spacings
-    out = np.empty(w.shape)
-    d = np.empty(w.shape[1:])
-    scratch = _scratch(d.shape, order)
-    for i in range(3):
-        np.multiply(v[0], _d1(w[0], i, h[i], order, d, scratch), out=out[i])
-        for k in (1, 2):
-            _d1(w[k], i, h[i], order, d, scratch)
-            d *= v[k]
-            out[i] += d
-    return out
+    return _contract(v, w, grid, order, on_i=True)
 
 
 def laplacian(s: np.ndarray, grid: GridSpec, order: int = 2) -> np.ndarray:

@@ -5,6 +5,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
+from .grid import STENCIL_POINTS
+
 
 class Formulation(enum.Enum):
     """Which induction/force pairing a state evolves under.
@@ -74,5 +76,5 @@ class PhysParams:
             raise ValueError("gamma must exceed 1")
         if not 0.0 < self.courant <= 1.0:
             raise ValueError("courant number must lie in (0, 1]")
-        if self.stencil_order not in (2, 4):
+        if self.stencil_order not in STENCIL_POINTS:
             raise ValueError("stencil_order must be 2 or 4")

@@ -86,11 +86,11 @@ def alfven_wave(
     +v_A (an exact nonlinear solution -- |H_perp| is constant, so there is
     no magnetic-pressure gradient).  The potential twin encodes the same
     physical H via A_perp = -(delta*B0/k)(cos(kx) y + sin(kx) z), which is
-    exactly solenoidal (it varies along x only).  No exact solution is
-    attached for the modified formulation: whether this wave form survives
-    under the advective force is precisely what runs are meant to measure
-    (linear theory says it will not -- transverse modes travel at
-    v_A/sqrt(2) there).
+    exactly solenoidal (it varies along x only).  The twin starts from the
+    traditional velocity, which is not a single traveling wave of the
+    modified system: the modified system's own wave of this form moves at
+    v_A/sqrt(2) and carries v divided by sqrt(2).  No exact solution is
+    attached for the modified formulation.
     """
     _check_positive(rho0=rho0, p0=p0)
     if mode == 0:

@@ -258,6 +258,16 @@ def test_dispersion_writes_both_formulations(tmp_path, capsys):
         assert np.abs(got - want).max() < 1e-6
 
 
+def test_dispersion_grid_too_small_for_stencil_order_is_config_error(tmp_path, capsys):
+    cfg = _cfg(tmp_path, 'scenario.name = "uniform_rest"\nnumerics.stencil_order = 4\n')
+    out = tmp_path / "out"
+    argv = ["dispersion", "--config", cfg, "--out-dir", str(out),
+            "--set", "grid.ny=4", "--set", "grid.nz=4"]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert "at least 8 points" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_dispersion_formulations_agree_without_field(tmp_path):
     cfg = _cfg(tmp_path, 'scenario.name = "uniform_rest"\n')
     out = tmp_path / "out"

@@ -193,3 +193,14 @@ def test_dispersion_leaves_its_background_unchanged(formulation):
     dispersion(background, (1, 0, 0), PhysParams())
     for f, f0 in zip(background.fields, before):
         assert np.array_equal(f, f0)
+
+
+@pytest.mark.parametrize("formulation", list(Formulation))
+def test_dispersion_rejects_a_grid_too_small_for_stencil_order(formulation):
+    # slab(16) is 16x4x4: an order-4 stencil needs 8 points per axis
+    background = uniform_rest(slab(16), formulation, 1.0, 0.6, (1.0, 0.0, 0.0)).state
+    params = PhysParams(stencil_order=4)
+    with pytest.raises(ValueError, match="at least 8 points"):
+        dispersion(background, (1, 0, 0), params)
+    with pytest.raises(ValueError, match="at least 8 points"):
+        oracle_matrix(background, (1, 0, 0), params)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from modmhd import GridSpec
+import modmhd.operators as ops
+from modmhd import ConfigError, GridSpec, PhysParams, parse_config
 from modmhd.grid import full_vector
 
 from conftest import TWO_PI, cube
@@ -57,6 +58,30 @@ def test_require_order():
     with pytest.raises(ValueError):
         g.require_order(3)
     cube(8).require_order(4)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 4, 6])
+def test_one_stencil_order_set_everywhere(order):
+    # every order check accepts exactly {2, 4}
+    g = cube(16)
+    f = np.zeros(g.shape)
+    text = (f"grid.nx = 16\ngrid.ny = 16\ngrid.nz = 16\ngrid.lx = 1\n"
+            f"grid.ly = 1\ngrid.lz = 1\nscenario.name = \"uniform_rest\"\n"
+            f"numerics.stencil_order = {order}\n")
+    checks = [
+        (ValueError, lambda: g.require_order(order)),
+        (ValueError, lambda: PhysParams(stencil_order=order)),
+        (ConfigError, lambda: parse_config(text)),
+        (ValueError, lambda: ops._d1(f, 0, g.hx, order)),
+        (ValueError, lambda: ops._d2(f, 0, g.hx, order)),
+        (ValueError, lambda: ops.modified_wavenumber(1.0, g.hx, order)),
+    ]
+    for error, check in checks:
+        if order in (2, 4):
+            check()
+        else:
+            with pytest.raises(error):
+                check()
 
 
 def test_field_constructors():

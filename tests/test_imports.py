@@ -1,0 +1,42 @@
+"""Every module of the package uses each name it imports.
+
+No linter ships with the toolchain, so this parses the sources with
+``ast``.  ``__init__.py`` is skipped: it imports names to re-export them.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "modmhd"
+MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _unused_imports(source: str) -> list[tuple[int, str]]:
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    # ``np.empty`` and ``ops.curl`` reach their module through a Name node
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_scan_sees_the_package():
+    assert "operators.py" in MODULES and "cli.py" in MODULES
+
+
+def test_unused_import_is_reported():
+    source = "import os\nfrom .grid import GridSpec, full_vector\nfull_vector(1)\n"
+    assert _unused_imports(source) == [(1, "os"), (2, "GridSpec")]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_has_no_unused_imports(module):
+    assert _unused_imports((SRC / module).read_text()) == []

@@ -217,8 +217,8 @@ def test_slice_kernels_match_roll_bitwise(order):
 
 @pytest.mark.parametrize("order", [2, 4])
 def test_composite_operators_match_roll_bitwise(order):
-    # the composite operators share one order-4 scratch between their
-    # derivatives; each derivative must still be the textbook formula
+    # the composite operators reuse one derivative buffer between their
+    # terms; each derivative must still be the textbook formula
     g = GridSpec(9, 8, 7, 1.0, 2.5, 7.0)
     rng = np.random.default_rng(order)
     s = rng.standard_normal(g.shape)

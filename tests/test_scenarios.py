@@ -1,5 +1,6 @@
 """Initial-condition builders and the manufactured-solution machinery."""
 
+import inspect
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import modmhd.operators as ops
+import modmhd.scenarios as scenarios
 from modmhd import (
     Formulation,
     GridSpec,
@@ -423,3 +425,24 @@ def test_build_scenario_coerces_parameter_types():
     case = build_scenario("alfven_wave", g, Formulation.TRADITIONAL,
                           {"mode": 2.0, "b0": 1})   # float->int, int->float
     assert case.state is not None
+
+
+# -- registry -------------------------------------------------------------------
+
+@pytest.mark.parametrize("formulation", list(Formulation))
+@pytest.mark.parametrize("name", sorted(SCENARIO_DEFAULTS))
+def test_config_defaults_are_the_builders_defaults(name, formulation):
+    # SCENARIO_DEFAULTS repeats each builder's keyword defaults; an edit to
+    # only one copy must fail here (uniform_rest's b0 is spelled b0x/b0y/b0z)
+    builder = getattr(scenarios, name)
+    want = {k: p.default for k, p in inspect.signature(builder).parameters.items()}
+    if name == "uniform_rest":
+        want.update(zip(("b0x", "b0y", "b0z"), want.pop("b0")))
+    for key, value in SCENARIO_DEFAULTS[name].items():
+        assert (type(value), value) == (type(want[key]), want[key]), key
+    g = cube(8)
+    built = build_scenario(name, g, formulation, {}).state
+    direct = builder(g, formulation).state
+    for a, b in zip(built.fields + (built.h_total(),),
+                    direct.fields + (direct.h_total(),)):
+        assert np.array_equal(a, b)
