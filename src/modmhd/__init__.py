@@ -50,8 +50,6 @@ from .electromagnetics import (
     BackgroundPotential,
     TwoFluidState,
     current_from_a,
-    e_from_a_dot,
-    force_lorentz,
     force_modified,
     force_modified_from_a,
     force_two_fluid,
@@ -107,10 +105,8 @@ __all__ = [
     "current_from_a",
     "diagnostics",
     "dispersion",
-    "e_from_a_dot",
     "enforce_gauge",
     "fit_order",
-    "force_lorentz",
     "force_modified",
     "force_modified_from_a",
     "force_two_fluid",

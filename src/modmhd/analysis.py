@@ -206,8 +206,8 @@ def identity_suite(
         v_minus[2] = -0.3 * np.sin(y)
         tf = TwoFluidState(rho_plus=rho_c, rho_minus=-rho_c, v_plus=v_plus, v_minus=v_minus)
         a_dot = ops.cross(v_plus, em.h_from_a(a, bg, grid, order))
-        f_pair = em.force_two_fluid(tf, a_dot, a, bg, grid, order, params.c)
-        f_one = em.force_modified(tf.current(), a, bg, grid, order, params.c)
+        f_pair = em.force_two_fluid(tf, a_dot, a, bg, grid, order)
+        f_one = em.force_modified(tf.current(), a, bg, grid, order)
         reduction.append(ops.l2_norm(f_pair - f_one, grid) / ops.l2_norm(f_one, grid))
 
         # (b) curl of the potential equation reproduces the induction
@@ -227,27 +227,24 @@ def identity_suite(
         # gradient part.  S is the continuum-projected closed form; the
         # polluted field W stands in for the raw, unprojected evolution.
         s_field, w_field = _solenoidal_family(grid)
-        e_proj = em.e_from_a_dot(s_field, params.c)
-        div_e.append(ops.l2_norm(ops.div(e_proj, grid, order), grid))
+        div_e.append(ops.l2_norm(ops.div(-s_field, grid, order), grid))
         if n == max(resolutions):
-            e_raw = em.e_from_a_dot(w_field, params.c)
-            side["div_e_raw"] = ops.l2_norm(ops.div(e_raw, grid, order), grid)
+            side["div_e_raw"] = ops.l2_norm(ops.div(-w_field, grid, order), grid)
             w_proj, _ = helmholtz_project(w_field, grid, order)
-            e_disc = em.e_from_a_dot(w_proj, params.c)
-            side["div_e_discrete"] = ops.l2_norm(ops.div(e_disc, grid, order), grid)
+            side["div_e_discrete"] = ops.l2_norm(ops.div(-w_proj, grid, order), grid)
 
-        # (d) force decomposition f = j x H/c - (1/c) grad-contraction.
+        # (d) force decomposition f = j x H - grad-contraction.
         # Measured two ways: the discrete force against the hand-derived
         # continuum value of the decomposed form (truncation-limited, so it
         # carries the order), and the pure stencil algebra linking the three
         # discrete expressions (exact -- the sharpest sign canary here).
         a_d, f_exact = _decomposition_witness(grid, bg)
-        f_mod = em.force_modified_from_a(a_d, bg, grid, order, params.c)
+        f_mod = em.force_modified_from_a(a_d, bg, grid, order)
         decomp.append(ops.l2_norm(f_mod - f_exact, grid) / ops.l2_norm(f_exact, grid))
-        j = em.current_from_a(a_d, grid, order, params.c)
+        j = em.current_from_a(a_d, grid, order)
         remainder = ops.grad_contract(j, a_d, grid, order) + bg.contracted_with(j)
-        f_equiv = em.force_lorentz(j, em.h_from_a(a_d, bg, grid, order), params.c)
-        f_equiv -= remainder / params.c
+        f_equiv = ops.cross(j, em.h_from_a(a_d, bg, grid, order))
+        f_equiv -= remainder
         stencil_res.append(
             ops.l2_norm(f_mod - f_equiv, grid) / ops.l2_norm(f_mod, grid)
         )
@@ -267,7 +264,7 @@ def identity_suite(
         chi = np.empty(grid.shape)
         chi[...] = np.sin(x) + 0.0 * (y + z)
         gauge.append(
-            em.gauge_shift_sensitivity(a_w, BackgroundPotential.zero(), chi, grid, order, params.c)
+            em.gauge_shift_sensitivity(a_w, BackgroundPotential.zero(), chi, grid, order)
         )
 
     spacings = tuple(spacings)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .grid import STENCIL_POINTS, GridSpec
+from .grid import STENCIL_ORDERS_TEXT, STENCIL_POINTS, GridSpec
 from .params import Formulation, GaugePolicy, PhysParams
 from .scenarios import SCENARIO_DEFAULTS, build_scenario
 
@@ -35,7 +35,6 @@ class RunConfig:
     scenario: str
     formulation: str = "modified"
     scenario_params: dict = field(default_factory=dict)
-    c: float = 1.0
     gamma: float = 5.0 / 3.0
     courant: float = 0.4
     stencil_order: int = 2
@@ -71,7 +70,7 @@ class RunConfig:
         return GaugePolicy.every_n(self.gauge_n)
 
     def phys(self) -> PhysParams:
-        return PhysParams(c=self.c, gamma=self.gamma, courant=self.courant,
+        return PhysParams(gamma=self.gamma, courant=self.courant,
                           stencil_order=self.stencil_order, gauge=self.gauge())
 
     def build_case(self):
@@ -143,11 +142,10 @@ _KEYS = {
                       lambda v: v in SCENARIO_DEFAULTS),
     "formulation": ("formulation", str, "modified or traditional",
                     lambda v: v in ("modified", "traditional")),
-    "physics.c": ("c", _parse_float, "> 0", lambda v: v > 0),
     "physics.gamma": ("gamma", _parse_float, "> 1", lambda v: v > 1),
     "numerics.courant": ("courant", _parse_float, "in (0, 1]",
                          lambda v: 0 < v <= 1),
-    "numerics.stencil_order": ("stencil_order", _parse_int, "2 or 4",
+    "numerics.stencil_order": ("stencil_order", _parse_int, STENCIL_ORDERS_TEXT,
                                lambda v: v in STENCIL_POINTS),
     "numerics.gauge_policy": ("gauge_policy", str, "off, every_step or every_n",
                               lambda v: v in ("off", "every_step", "every_n")),

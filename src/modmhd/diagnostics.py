@@ -93,7 +93,7 @@ def diagnostics(
         diva_max = ops.max_norm(diva)
         w = ops.cross(state.v, h_tot)
         w_proj, _ = helmholtz_project(w, g, order)
-        ohm = ops.l2_norm(w - w_proj, g) / params.c
+        ohm = ops.l2_norm(w - w_proj, g)
     else:
         diva_l2 = 0.0
         diva_max = 0.0

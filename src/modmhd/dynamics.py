@@ -28,7 +28,10 @@ array loops); otherwise it runs both in turn on the calling thread.  Both
 paths perform the same operations on the same arrays, so the results are
 bitwise the serial ones.  The thread is started and joined inside each
 call.  ``OPENBLAS_NUM_THREADS`` does not govern it; the CPU affinity does,
-so running under ``taskset -c 0`` keeps every RHS on one thread.
+so running under ``taskset -c 0`` keeps every RHS on one thread.  Do so
+when the host steals CPU: on a 2-vCPU VM under host steal, two threads took
+483-1009 ms/step on ``traditional_64`` against 393-640 on one, as each
+hand-off halts a vCPU that a loaded host is slow to wake.
 """
 
 from __future__ import annotations
@@ -83,11 +86,11 @@ def _induction_and_force(state: SimState, params: PhysParams):
         # one curl A serves j and H; j is taken before H0 is added, because
         # (x + H0) - (y + H0) is not bitwise x - y
         curl_a = ops.curl(state.a, g, o)
-        j = (params.c / FOUR_PI) * ops.curl(curl_a, g, o)
+        j = (1.0 / FOUR_PI) * ops.curl(curl_a, g, o)
         h_tot = curl_a
         h_tot += state.bg.uniform_field[:, None, None, None]
         dmag = ops.cross(state.v, h_tot)
-        force = em.force_modified(j, state.a, state.bg, g, o, params.c)
+        force = em.force_modified(j, state.a, state.bg, g, o)
     else:
         h_tot = state.h + state.h0[:, None, None, None]
         dmag = ops.curl(ops.cross(state.v, h_tot), g, o)

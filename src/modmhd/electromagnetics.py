@@ -9,7 +9,8 @@ and the force density on the fluid is the advective current force
 
     f = -(1/c) (j . grad) A
 
-instead of the Lorentz force (1/c) j x H.  The two are related pointwise by
+instead of the Lorentz force (1/c) j x H.  c cancels once j is composed, so
+the package sets c = 1.  The two forces are related pointwise by
 
     (j . grad) A = grad_contract(j, A) - j x curl A,
 
@@ -118,19 +119,9 @@ def h_from_a(a: np.ndarray, bg: BackgroundPotential, grid: GridSpec, order: int 
     return h
 
 
-def current_from_a(a: np.ndarray, grid: GridSpec, order: int = 2, c: float = 1.0) -> np.ndarray:
+def current_from_a(a: np.ndarray, grid: GridSpec, order: int = 2) -> np.ndarray:
     """Current density j = (c/4pi) curl curl A (the background drops out)."""
-    return (c / FOUR_PI) * ops.curl_curl(a, grid, order)
-
-
-def e_from_a_dot(a_dot: np.ndarray, c: float = 1.0) -> np.ndarray:
-    """Electric field E = -(1/c) dA/dt in the phi = 0 gauge."""
-    return -a_dot / c
-
-
-def force_lorentz(j: np.ndarray, h: np.ndarray, c: float = 1.0) -> np.ndarray:
-    """Lorentz force density (1/c) j x H."""
-    return ops.cross(j, h) / c
+    return (1.0 / FOUR_PI) * ops.curl_curl(a, grid, order)
 
 
 def force_modified(
@@ -139,12 +130,11 @@ def force_modified(
     bg: BackgroundPotential,
     grid: GridSpec,
     order: int = 2,
-    c: float = 1.0,
 ) -> np.ndarray:
     """Advective current force f = -(1/c) (j . grad)(A_periodic + A0)."""
     f = ops.advect(j, a, grid, order)
     f += bg.advected_by(j)
-    return f / (-c)
+    return -f
 
 
 def force_modified_from_a(
@@ -152,10 +142,9 @@ def force_modified_from_a(
     bg: BackgroundPotential,
     grid: GridSpec,
     order: int = 2,
-    c: float = 1.0,
 ) -> np.ndarray:
     """The modified force with j derived from A itself."""
-    return force_modified(current_from_a(a, grid, order, c), a, bg, grid, order, c)
+    return force_modified(current_from_a(a, grid, order), a, bg, grid, order)
 
 
 def force_two_fluid(
@@ -165,7 +154,6 @@ def force_two_fluid(
     bg: BackgroundPotential,
     grid: GridSpec,
     order: int = 2,
-    c: float = 1.0,
 ) -> np.ndarray:
     """Summed per-species force on two charged fluids,
 
@@ -179,7 +167,7 @@ def force_two_fluid(
     for rho_s, v_s in ((tf.rho_plus, tf.v_plus), (tf.rho_minus, tf.v_minus)):
         term = a_dot + ops.advect(v_s, a, grid, order) + bg.advected_by(v_s)
         f -= rho_s * term
-    return f / c
+    return f
 
 
 def gauge_shift_sensitivity(
@@ -188,7 +176,6 @@ def gauge_shift_sensitivity(
     chi: np.ndarray,
     grid: GridSpec,
     order: int = 2,
-    c: float = 1.0,
 ) -> float:
     """Relative change of the A-derived force under A -> A + grad(chi).
 
@@ -197,9 +184,9 @@ def gauge_shift_sensitivity(
     the potential.  Returns ||F(A + grad chi) - F(A)||_2 / ||F(A)||_2
     (0.0 when both vanish, inf when only the denominator does).
     """
-    f0 = force_modified_from_a(a, bg, grid, order, c)
+    f0 = force_modified_from_a(a, bg, grid, order)
     shifted = a + ops.grad(chi, grid, order)
-    f1 = force_modified_from_a(shifted, bg, grid, order, c)
+    f1 = force_modified_from_a(shifted, bg, grid, order)
     num = ops.l2_norm(f1 - f0, grid)
     den = ops.l2_norm(f0, grid)
     if num == 0.0:

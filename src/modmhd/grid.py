@@ -24,6 +24,8 @@ import numpy as np
 
 #: Stencil orders and the points per axis each needs.
 STENCIL_POINTS = {2: 4, 4: 8}
+#: The allowed orders as every rejection of another order names them.
+STENCIL_ORDERS_TEXT = " or ".join(map(str, STENCIL_POINTS))
 
 
 @dataclass(frozen=True)
@@ -95,7 +97,7 @@ class GridSpec:
     def require_order(self, order: int) -> None:
         """Raise if the grid cannot support the requested stencil order."""
         if order not in STENCIL_POINTS:
-            raise ValueError(f"stencil order must be 2 or 4, got {order}")
+            raise ValueError(f"stencil order must be {STENCIL_ORDERS_TEXT}, got {order}")
         need = STENCIL_POINTS[order]
         if min(self.nx, self.ny, self.nz) < need:
             raise ValueError(

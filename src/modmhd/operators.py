@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import STENCIL_POINTS, GridSpec
+from .grid import STENCIL_ORDERS_TEXT, STENCIL_POINTS, GridSpec
 
 #: Cyclic index triples (i, j, k): component i of a curl or cross product
 #: pairs j with k.
@@ -56,7 +56,7 @@ def _d1(f: np.ndarray, axis: int, h: float, order: int,
     Written into ``out`` when given (it must not overlap ``f``).
     """
     if order not in STENCIL_POINTS:
-        raise ValueError(f"stencil order must be 2 or 4, got {order}")
+        raise ValueError(f"stencil order must be {STENCIL_ORDERS_TEXT}, got {order}")
     if out is None:
         out = np.empty(f.shape)
     _pair(np.subtract, f, axis, 1, out)
@@ -85,7 +85,7 @@ def modified_wavenumber(k, spacing: float, order: int = 2):
 def _d2(f: np.ndarray, axis: int, h: float, order: int) -> np.ndarray:
     """Compact second derivative along one axis."""
     if order not in STENCIL_POINTS:
-        raise ValueError(f"stencil order must be 2 or 4, got {order}")
+        raise ValueError(f"stencil order must be {STENCIL_ORDERS_TEXT}, got {order}")
     out = _pair(np.add, f, axis, 1, np.empty(f.shape))
     if order == 2:
         out -= 2.0 * f

@@ -5,7 +5,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .grid import STENCIL_POINTS
+from .grid import STENCIL_ORDERS_TEXT, STENCIL_POINTS
 
 
 class Formulation(enum.Enum):
@@ -58,23 +58,19 @@ class GaugePolicy:
 class PhysParams:
     """Physical constants and numerical knobs shared across a run.
 
-    Gaussian units with the 4*pi factors explicit; c enters only the
-    current density and the electric-field diagnostics (the dynamics is
-    c-free once j and the force are composed).
+    Gaussian units with the 4*pi factors explicit and c = 1: c cancels
+    from the dynamics once j and the force are composed.
     """
 
-    c: float = 1.0
     gamma: float = 5.0 / 3.0
     courant: float = 0.4
     stencil_order: int = 2
     gauge: GaugePolicy = field(default_factory=GaugePolicy)
 
     def __post_init__(self):
-        if not self.c > 0.0:
-            raise ValueError("c must be positive")
         if not self.gamma > 1.0:
             raise ValueError("gamma must exceed 1")
         if not 0.0 < self.courant <= 1.0:
             raise ValueError("courant number must lie in (0, 1]")
         if self.stencil_order not in STENCIL_POINTS:
-            raise ValueError("stencil_order must be 2 or 4")
+            raise ValueError(f"stencil_order must be {STENCIL_ORDERS_TEXT}")

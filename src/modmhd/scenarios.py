@@ -217,10 +217,11 @@ def random_solenoidal(
     a = draw_field()
     v = draw_field()
     a, _ = helmholtz_project(a, grid, order)
+    h = ops.curl(a, grid, order) if formulation is Formulation.TRADITIONAL else None
 
     state = _mag_state(
         grid, formulation, v, np.full(grid.shape, rho0), np.full(grid.shape, p0),
-        a, ops.curl(a, grid, order), (b0, 0.0, 0.0),
+        a, h, (b0, 0.0, 0.0),
     )
     return CaseSetup(state=state)
 
@@ -396,6 +397,18 @@ SCENARIO_DEFAULTS = {
 }
 
 
+def _coerce(key: str, default, value):
+    """value as its default's type; an integer refuses bools and fractions."""
+    if not isinstance(default, int):
+        return float(value)
+    try:
+        if not isinstance(value, bool) and int(value) == float(value):
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"scenario.{key}: expected an integer, got {value!r}")
+
+
 def build_scenario(
     name: str,
     grid: GridSpec,
@@ -418,7 +431,7 @@ def build_scenario(
                 f"scenario {name!r} does not take parameter {key!r} "
                 f"(allowed: {allowed})"
             )
-        params[key] = type(defaults[key])(value)
+        params[key] = _coerce(key, defaults[key], value)
 
     if name == "uniform_rest":
         b0 = (params["b0x"], params["b0y"], params["b0z"])

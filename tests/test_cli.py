@@ -62,6 +62,13 @@ def test_run_with_missing_file_is_config_error(tmp_path, capsys):
     assert "cannot read config" in capsys.readouterr().err
 
 
+def test_run_config_with_speed_of_light_is_config_error(tmp_path, capsys):
+    # config.txt files written before c was fixed at 1 carry physics.c
+    cfg = _cfg(tmp_path, 'scenario.name = "uniform_rest"\nphysics.c = 1\n')
+    assert cli.main(["run", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 2
+    assert "line 8: unknown key 'physics.c'" in capsys.readouterr().err
+
+
 def test_run_grid_too_small_for_stencil_order_is_config_error(tmp_path, capsys):
     cfg = _cfg(tmp_path, 'scenario.name = "uniform_rest"\nnumerics.stencil_order = 4\n')
     out = tmp_path / "out"

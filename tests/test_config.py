@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from modmhd import ConfigError, PhysParams, RunConfig, parse_config, serialize_config
+from modmhd import ConfigError, PhysParams, parse_config, serialize_config
 from modmhd.params import GaugePolicy
 
 MINIMAL = """\
@@ -24,7 +24,6 @@ def test_minimal_config_applies_defaults():
     assert cfg.nx == cfg.ny == cfg.nz == 16
     assert cfg.scenario == "alfven_wave"
     assert cfg.formulation == "modified"
-    assert cfg.c == 1.0
     assert cfg.gamma == pytest.approx(5.0 / 3.0)
     assert cfg.courant == 0.4
     assert cfg.stencil_order == 2
@@ -62,6 +61,14 @@ def test_removed_gauge_tol_key_is_unknown():
         parse_config(MINIMAL + "numerics.gauge_tol = 1e-10\n")
 
 
+def test_removed_speed_of_light_key_is_unknown():
+    # c = 1 is fixed; config.txt files that still carry physics.c are refused
+    with pytest.raises(ConfigError, match="^line 8: unknown key 'physics.c'"):
+        parse_config(MINIMAL + "physics.c = 1\n")
+    assert not hasattr(parse_config(MINIMAL), "c")
+    assert not hasattr(PhysParams(), "c")
+
+
 def test_malformed_line():
     with pytest.raises(ConfigError, match="line 1: expected 'key = value'"):
         parse_config("just words\n")
@@ -80,26 +87,25 @@ def test_type_errors_name_key_and_value():
     with pytest.raises(ConfigError, match=r"grid.nx: expected an integer, got 'abc'"):
         parse_config(MINIMAL.replace("grid.nx = 16", "grid.nx = abc"))
     with pytest.raises(ConfigError, match="must be finite"):
-        parse_config(MINIMAL + "physics.c = inf\n")
+        parse_config(MINIMAL + "physics.gamma = inf\n")
 
 
 @pytest.mark.parametrize("line,message", [
-    ("physics.c = abc", "physics.c: expected a number, got 'abc'"),
+    ("physics.gamma = abc", "physics.gamma: expected a number, got 'abc'"),
     ('dispersion.h0 = "1,2"', "dispersion.h0: expected three comma-separated numbers"),
     ('dispersion.k = "1,0"', "dispersion.k: expected integer triples"),
-], ids=["c", "h0", "k"])
+], ids=["gamma", "h0", "k"])
 def test_malformed_values_report_line_number(line, message):
     with pytest.raises(ConfigError, match="^line 8: " + re.escape(message)):
         parse_config(MINIMAL + line + "\n")
 
 
 @pytest.mark.parametrize("kwargs,message", [
-    ({"c": 0.0}, "c must be positive"),
     ({"gamma": 1.0}, "gamma must exceed 1"),
     ({"courant": 0.0}, "courant"),
     ({"courant": 1.5}, "courant"),
     ({"stencil_order": 3}, "stencil_order must be 2 or 4"),
-], ids=["c", "gamma", "courant0", "courant1.5", "order3"])
+], ids=["gamma", "courant0", "courant1.5", "order3"])
 def test_phys_params_reject_out_of_range(kwargs, message):
     with pytest.raises(ValueError, match=message):
         PhysParams(**kwargs)

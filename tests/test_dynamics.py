@@ -33,7 +33,7 @@ from modmhd import (
 )
 from modmhd.grid import full_vector
 
-from conftest import TWO_PI, cube, slab
+from conftest import cube, slab
 
 
 def _rest_state(g, formulation=Formulation.MODIFIED, rho0=1.0, p0=1.0):
@@ -137,10 +137,10 @@ def test_rhs_modified_matches_public_assembly_bitwise(order):
     g = cube(8)
     st = random_solenoidal(g, Formulation.MODIFIED, b0=0.7, amplitude=0.3,
                            seed=4, order=order).state
-    params = PhysParams(c=1.3, stencil_order=order)
+    params = PhysParams(stencil_order=order)
     h_tot = h_from_a(st.a, st.bg, g, order)
-    j = current_from_a(st.a, g, order, params.c)
-    force = force_modified(j, st.a, st.bg, g, order, params.c)
+    j = current_from_a(st.a, g, order)
+    force = force_modified(j, st.a, st.bg, g, order)
     dv = -ops.advect(st.v, st.v, g, order)
     dv -= ops.grad(st.p, g, order) / st.rho
     dv += force / st.rho
@@ -210,7 +210,7 @@ def _record_half_threads(monkeypatch):
 @pytest.mark.parametrize("formulation", list(Formulation))
 def test_threaded_rhs_matches_inline_bitwise(formulation, order, monkeypatch):
     st = _overlap_case(formulation, order)
-    params = PhysParams(stencil_order=order, c=1.3)
+    params = PhysParams(stencil_order=order)
     threads = _record_half_threads(monkeypatch)
     monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 2)
     threaded = compute_rhs(st, params)

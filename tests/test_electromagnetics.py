@@ -8,8 +8,6 @@ from modmhd import (
     BackgroundPotential,
     TwoFluidState,
     current_from_a,
-    e_from_a_dot,
-    force_lorentz,
     force_modified,
     force_modified_from_a,
     force_two_fluid,
@@ -84,34 +82,13 @@ def test_current_from_a():
     g = cube(32)
     x, _, _ = g.meshes()
     a = full_vector(g, (0.0, np.sin(x), 0.0))
-    j = current_from_a(a, g, c=1.0)
+    j = current_from_a(a, g)
     # discrete value is (sin h / h)^2 sin(x)/4pi: symbol defect ~1.0e-3 at n=32
     assert ops.max_norm(j[1] - np.sin(x) / FOUR_PI) < 2e-3
     # pure gauge carries no current
     s = np.sin(x) + np.zeros(g.shape)
     assert ops.max_norm(current_from_a(ops.grad(s, g), g)) < 1e-13
     assert np.all(current_from_a(np.zeros(g.vshape), g) == 0.0)
-    # j scales linearly with c
-    assert np.allclose(current_from_a(a, g, c=3.0), 3.0 * j)
-
-
-def test_e_from_a_dot_scaling():
-    g = cube(8)
-    c = 2.5
-    a_dot = full_vector(g, (c, 0.0, 0.0))
-    assert np.allclose(e_from_a_dot(a_dot, c), full_vector(g, (-1.0, 0.0, 0.0)))
-    a_dot = full_vector(g, (0.0, 2.0 * c, 0.0))
-    assert np.allclose(e_from_a_dot(a_dot, c), full_vector(g, (0.0, -2.0, 0.0)))
-    assert np.all(e_from_a_dot(np.zeros(g.vshape)) == 0.0)
-
-
-def test_force_lorentz():
-    g = cube(8)
-    j = full_vector(g, (0.0, 0.0, 1.0))
-    h = full_vector(g, (1.0, 0.0, 0.0))
-    assert np.allclose(force_lorentz(j, h, 1.0), full_vector(g, (0.0, 1.0, 0.0)))
-    assert np.all(force_lorentz(h, 3.0 * h) == 0.0)
-    assert np.all(force_lorentz(np.zeros(g.vshape), h) == 0.0)
 
 
 def test_force_modified_periodic_example():
@@ -119,7 +96,7 @@ def test_force_modified_periodic_example():
     x, _, _ = g.meshes()
     j = full_vector(g, (1.0, 0.0, 0.0))
     a = full_vector(g, (0.0, np.sin(x), 0.0))
-    f = force_modified(j, a, ZERO, g, c=1.0)
+    f = force_modified(j, a, ZERO, g)
     assert ops.max_norm(f[1] + np.cos(x)) < 1e-2
     # constant A: zero gradient, zero force, exactly
     assert np.all(force_modified(j, full_vector(g, (0.2, 0.4, 0.0)), ZERO, g) == 0.0)
@@ -133,10 +110,10 @@ def test_force_modified_background_contraction():
     bg = BackgroundPotential(m)
     a = np.zeros(g.vshape)
     # (j.grad)A0 = M j: picks out the j-th column of M
-    f = force_modified(full_vector(g, (1.0, 0.0, 0.0)), a, bg, g, c=1.0)
+    f = force_modified(full_vector(g, (1.0, 0.0, 0.0)), a, bg, g)
     assert np.all(f == 0.0)
-    f = force_modified(full_vector(g, (0.0, 1.0, 0.0)), a, bg, g, c=2.0)
-    assert np.allclose(f, full_vector(g, (0.0, 0.0, -b0 / 2.0)))
+    f = force_modified(full_vector(g, (0.0, 1.0, 0.0)), a, bg, g)
+    assert np.allclose(f, full_vector(g, (0.0, 0.0, -b0)))
 
 
 def test_force_modified_from_a_self_consistent():
@@ -161,7 +138,7 @@ def test_two_fluid_example():
     )
     a = full_vector(g, (0.0, np.sin(x), 0.0))
     a_dot = full_vector(g, (0.3, -0.7, 0.1))   # must cancel between species
-    f = force_two_fluid(tf, a_dot, a, ZERO, g, c=1.0)
+    f = force_two_fluid(tf, a_dot, a, ZERO, g)
     assert ops.max_norm(f[1] + 2.0 * np.cos(x)) < 5e-2
     assert ops.max_norm(f[0]) < 1e-13
     assert ops.max_norm(f[2]) < 1e-13
@@ -193,24 +170,23 @@ def test_two_fluid_reduces_to_single_fluid():
                            rng.standard_normal(g.vshape))
         a = rng.standard_normal(g.vshape)
         a_dot = rng.standard_normal(g.vshape)
-        f2 = force_two_fluid(tf, a_dot, a, bg, g, c=1.3)
-        f1 = force_modified(tf.current(), a, bg, g, c=1.3)
+        f2 = force_two_fluid(tf, a_dot, a, bg, g)
+        f1 = force_modified(tf.current(), a, bg, g)
         scale = ops.max_norm(f1)
         assert ops.max_norm(f2 - f1) <= 1e-12 * scale
 
 
 def test_force_decomposition_is_discretely_exact():
-    # -(1/c)(j.grad)A_tot = (1/c) j x H - (1/c)[grad_contract(j, A) + M^T j]
+    # -(j.grad)A_tot = j x H - [grad_contract(j, A) + M^T j] (c = 1)
     # holds at the stencil level (pure index algebra on first derivatives)
     g = cube(16)
     rng = np.random.default_rng(9)
     bg = BackgroundPotential(rng.standard_normal((3, 3)))
     j = rng.standard_normal(g.vshape)
     a = rng.standard_normal(g.vshape)
-    c = 0.7
-    lhs = force_modified(j, a, bg, g, c=c)
-    rhs = force_lorentz(j, h_from_a(a, bg, g), c=c)
-    rhs -= (ops.grad_contract(j, a, g) + bg.contracted_with(j)) / c
+    lhs = force_modified(j, a, bg, g)
+    rhs = ops.cross(j, h_from_a(a, bg, g))
+    rhs -= ops.grad_contract(j, a, g) + bg.contracted_with(j)
     assert ops.max_norm(lhs - rhs) <= 1e-12 * ops.max_norm(lhs)
 
 

@@ -3,7 +3,7 @@ import pytest
 
 import modmhd.operators as ops
 from modmhd import ConfigError, GridSpec, PhysParams, parse_config
-from modmhd.grid import full_vector
+from modmhd.grid import STENCIL_ORDERS_TEXT, full_vector
 
 from conftest import TWO_PI, cube
 
@@ -62,25 +62,28 @@ def test_require_order():
 
 @pytest.mark.parametrize("order", [0, 1, 2, 3, 4, 6])
 def test_one_stencil_order_set_everywhere(order):
-    # every order check accepts exactly {2, 4}
+    # every order check accepts exactly {2, 4}, and every rejection but the
+    # wavenumber's names the allowed orders with the one shared text
+    assert STENCIL_ORDERS_TEXT == "2 or 4"
     g = cube(16)
     f = np.zeros(g.shape)
     text = (f"grid.nx = 16\ngrid.ny = 16\ngrid.nz = 16\ngrid.lx = 1\n"
             f"grid.ly = 1\ngrid.lz = 1\nscenario.name = \"uniform_rest\"\n"
             f"numerics.stencil_order = {order}\n")
     checks = [
-        (ValueError, lambda: g.require_order(order)),
-        (ValueError, lambda: PhysParams(stencil_order=order)),
-        (ConfigError, lambda: parse_config(text)),
-        (ValueError, lambda: ops._d1(f, 0, g.hx, order)),
-        (ValueError, lambda: ops._d2(f, 0, g.hx, order)),
-        (ValueError, lambda: ops.modified_wavenumber(1.0, g.hx, order)),
+        (ValueError, STENCIL_ORDERS_TEXT, lambda: g.require_order(order)),
+        (ValueError, STENCIL_ORDERS_TEXT, lambda: PhysParams(stencil_order=order)),
+        (ConfigError, STENCIL_ORDERS_TEXT, lambda: parse_config(text)),
+        (ValueError, STENCIL_ORDERS_TEXT, lambda: ops._d1(f, 0, g.hx, order)),
+        (ValueError, STENCIL_ORDERS_TEXT, lambda: ops._d2(f, 0, g.hx, order)),
+        (ValueError, "unsupported stencil order",
+         lambda: ops.modified_wavenumber(1.0, g.hx, order)),
     ]
-    for error, check in checks:
+    for error, message, check in checks:
         if order in (2, 4):
             check()
         else:
-            with pytest.raises(error):
+            with pytest.raises(error, match=message):
                 check()
 
 

@@ -1,7 +1,8 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package, demo and test uses each name it imports.
 
 No linter ships with the toolchain, so this parses the sources with
-``ast``.  ``__init__.py`` is skipped: it imports names to re-export them.
+``ast``.  The package's ``__init__.py`` is skipped: it imports names to
+re-export them.
 """
 
 import ast
@@ -9,8 +10,13 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "modmhd"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "modmhd"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+SCRIPTS = sorted(
+    p.relative_to(ROOT).as_posix()
+    for folder in ("demos", "tests") for p in (ROOT / folder).glob("*.py")
+)
 
 
 def _unused_imports(source: str) -> list[tuple[int, str]]:
@@ -30,6 +36,7 @@ def _unused_imports(source: str) -> list[tuple[int, str]]:
 
 def test_scan_sees_the_package():
     assert "operators.py" in MODULES and "cli.py" in MODULES
+    assert "demos/01_operators.py" in SCRIPTS and "tests/test_imports.py" in SCRIPTS
 
 
 def test_unused_import_is_reported():
@@ -40,3 +47,8 @@ def test_unused_import_is_reported():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_has_no_unused_imports(module):
     assert _unused_imports((SRC / module).read_text()) == []
+
+
+@pytest.mark.parametrize("script", SCRIPTS)
+def test_script_has_no_unused_imports(script):
+    assert _unused_imports((ROOT / script).read_text()) == []

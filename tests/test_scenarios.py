@@ -427,6 +427,18 @@ def test_build_scenario_coerces_parameter_types():
     assert case.state is not None
 
 
+@pytest.mark.parametrize("name,key,value", [
+    ("alfven_wave", "mode", 2.7),
+    ("sound_wave", "mode", -1.5),
+    ("random_solenoidal", "k_max", True),
+    ("alfven_wave", "mode", float("inf")),
+], ids=["fraction", "negative-fraction", "bool", "inf"])
+def test_build_scenario_rejects_non_integers_for_integer_parameters(name, key, value):
+    # int(2.7) would silently build the mode-2 state
+    with pytest.raises(ValueError, match=f"scenario.{key}: expected an integer"):
+        build_scenario(name, cube(8), Formulation.MODIFIED, {key: value})
+
+
 # -- registry -------------------------------------------------------------------
 
 @pytest.mark.parametrize("formulation", list(Formulation))
