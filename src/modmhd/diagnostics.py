@@ -9,7 +9,7 @@ import numpy as np
 from . import electromagnetics as em
 from . import operators as ops
 from .params import Formulation, PhysParams
-from .projection import helmholtz_project
+from .projection import _gradient_part_norm
 from .state import SimState
 
 FOUR_PI = em.FOUR_PI
@@ -30,7 +30,8 @@ class DiagnosticsRecord:
     ohm_resid is the L2 gap between the gauge-consistent electric field
     -(1/c) P[v x H] (P = solenoidal projection of the induction RHS) and
     the ideal-Ohm field -(1/c) v x H, i.e. (1/c)||grad phi||_2 of the
-    projection potential.  It measures the tension between the phi = 0,
+    projection potential, summed from the projection's Fourier form
+    without forming phi.  It measures the tension between the phi = 0,
     div A = 0 gauge pair for the modified system; traditional runs report
     0.  entropy is the raw integral of rho*ln(P rho^-gamma); run() shifts
     it so the t = 0 record is zero (only drift is meaningful).
@@ -91,9 +92,7 @@ def diagnostics(
         diva = ops.div(state.a, g, order)
         diva_l2 = ops.l2_norm(diva, g)
         diva_max = ops.max_norm(diva)
-        w = ops.cross(state.v, h_tot)
-        w_proj, _ = helmholtz_project(w, g, order)
-        ohm = ops.l2_norm(w - w_proj, g)
+        ohm = _gradient_part_norm(ops.cross(state.v, h_tot), g, order)
     else:
         diva_l2 = 0.0
         diva_max = 0.0

@@ -15,7 +15,11 @@ Traditional system (state carries H, uniform background h0):
 
 with the same continuity and adiabatic pressure equations.  One
 ``compute_rhs`` serves both: only the induction and force laws branch on
-the formulation, and the fluid lines are written once.  Both are
+the formulation, and the fluid lines are written once.  Each field is
+differentiated once per RHS (30 stencil derivatives modified, 27
+traditional): one Jacobian of A gives curl A and (j.grad)A through the
+curl and contraction code of ``operators``, and div v is summed from the
+diagonal that (v.grad)v already takes.  Both are
 marched with classical RK4 (method of lines); the solenoidal gauge of A
 is re-imposed after completed steps according to the gauge policy, never
 inside RK stages, and the pre-projection drift is recorded.
@@ -36,6 +40,7 @@ hand-off halts a vCPU that a loaded host is slow to wake.
 
 from __future__ import annotations
 
+import ctypes
 import os
 import threading
 from collections import namedtuple
@@ -78,19 +83,43 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _keep_freed_heap() -> None:
+    """Stop glibc from handing freed field arrays back to the kernel.
+
+    Every RK4 stage allocates and frees the same few-megabyte arrays.
+    glibc's dynamic thresholds follow the largest block freed so far; on
+    a 32^3 run they settle near 2 MiB (mmap) and 4 MiB (trim), so the heap
+    top is handed back as a stage's temporaries are freed and the next
+    stage faults those pages in again: about 1400 minor faults a step,
+    and steps that slow down and spread when the host is loaded.  ``run``
+    pins both thresholds for the process at the ceilings that the dynamic
+    rule can reach (32 and 64 MiB).  A libc without ``mallopt`` is left
+    alone.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 32 << 20)   # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)   # M_TRIM_THRESHOLD
+
+
 def _induction_and_force(state: SimState, params: PhysParams):
     """The formulation's own half of the RHS: (d mag/dt, force density)."""
     g = state.grid
     o = params.stencil_order
     if state.formulation is Formulation.MODIFIED:
-        # one curl A serves j and H; j is taken before H0 is added, because
-        # (x + H0) - (y + H0) is not bitwise x - y
-        curl_a = ops.curl(state.a, g, o)
+        # one Jacobian of A gives curl A and the force; j is taken from curl A
+        # before H0 joins it, as (x + H0) - (y + H0) is not bitwise x - y
+        da = ops._jacobian(state.a, g, o)
+        curl_a = ops._curl(da, np.empty(state.a.shape))
         j = (1.0 / FOUR_PI) * ops.curl(curl_a, g, o)
+        force = em._force(j, da, state.bg)
+        del da
         h_tot = curl_a
         h_tot += state.bg.uniform_field[:, None, None, None]
         dmag = ops.cross(state.v, h_tot)
-        force = em.force_modified(j, state.a, state.bg, g, o)
     else:
         h_tot = state.h + state.h0[:, None, None, None]
         dmag = ops.curl(ops.cross(state.v, h_tot), g, o)
@@ -124,10 +153,11 @@ def compute_rhs(state: SimState, params: PhysParams) -> Rhs:
         outcome.append(_induction_and_force(state, params))
     try:
         gradp = ops.grad(state.p, g, o)
-        dv = -ops.advect(state.v, state.v, g, o)
+        div_v = np.empty(g.shape)
+        dv = -ops._contract(state.v, ops._stencil(state.v, g, o), trace=div_v)
         dv -= gradp / state.rho
         drho = -ops.div(state.rho * state.v, g, o)
-        dp = -ops.dot(state.v, gradp) - params.gamma * state.p * ops.div(state.v, g, o)
+        dp = -ops.dot(state.v, gradp) - params.gamma * state.p * div_v
     finally:
         if helper is not None:
             helper.join()
@@ -238,13 +268,15 @@ def run(
     as drift from the initial record, also to ``on_record``.  If the state
     goes invalid, a SimulationError carrying all records collected so far
     is raised (nothing is silently dropped).  A grid too small for the
-    stencil order raises ValueError before anything runs.
+    stencil order raises ValueError before anything runs.  It pins glibc's
+    heap thresholds for the process (``_keep_freed_heap``).
     """
     if t_end < initial.t:
         raise ValueError("t_end must not precede the initial time")
     if out_every < 1:
         raise ValueError("out_every must be >= 1")
     initial.grid.require_order(params.stencil_order)
+    _keep_freed_heap()
 
     state = initial
     records: list[DiagnosticsRecord] = []

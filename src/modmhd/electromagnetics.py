@@ -132,9 +132,14 @@ def force_modified(
     order: int = 2,
 ) -> np.ndarray:
     """Advective current force f = -(1/c) (j . grad)(A_periodic + A0)."""
-    f = ops.advect(j, a, grid, order)
+    return _force(j, ops._stencil(a, grid, order), bg)
+
+
+def _force(j: np.ndarray, da, bg: BackgroundPotential) -> np.ndarray:
+    """The modified force from A's first derivatives ``da`` (see ``ops._contract``)."""
+    f = ops._contract(j, da)
     f += bg.advected_by(j)
-    return -f
+    return np.negative(f, out=f)
 
 
 def force_modified_from_a(

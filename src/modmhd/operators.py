@@ -3,9 +3,11 @@
 All derivative operators are built from the same first-derivative stencil
 (order 2 or 4, the orders of ``grid.STENCIL_POINTS``).  The periodic
 stencil is applied by slicing: the difference f[i+k] - f[i-k] along an
-axis is written into one output array as an interior slice subtraction
-plus the k wrap-around planes at each end, so no shifted copy of the
-field is made and periodicity is exact.
+axis is written into one output array, with no shifted copy of the field,
+as one flat pass over the C-ordered buffers (the partners of every point lie
+k*stride elements away) and then the k wrap-around planes at each end, which
+overwrite exactly the rows the flat pass gets wrong, so periodicity is exact.
+An output that is not C-ordered receives the result through a scratch array.
 The arithmetic is the textbook one, operation for operation (subtract,
 scale by 8, subtract, divide by 2h or 12h), so the result is bitwise the
 same as the shift-and-subtract formula with ``np.roll``; the operator
@@ -37,13 +39,19 @@ def _pair(op, f: np.ndarray, axis: int, k: int, out: np.ndarray) -> np.ndarray:
     if n < 2 * k:
         raise ValueError(f"a stencil of half-width {k} needs at least {2 * k} "
                          f"points along axis {axis}, got {n}")
+    if not out.flags.c_contiguous:
+        out[...] = _pair(op, f, axis, k, np.empty(out.shape))
+        return out
 
     def cut(a, lo, hi):
         index = [slice(None)] * a.ndim
         index[axis] = slice(lo, hi)
         return a[tuple(index)]
 
-    op(cut(f, 2 * k, n), cut(f, 0, n - 2 * k), out=cut(out, k, n - k))
+    # reshape(-1) orders f like out, copying f only if its layout needs it
+    s = k * out.strides[axis] // out.itemsize
+    flat = f.reshape(-1)
+    op(flat[2 * s:], flat[:flat.size - 2 * s], out=out.reshape(-1)[s:flat.size - s])
     op(cut(f, k, 2 * k), cut(f, n - k, n), out=cut(out, 0, k))
     op(cut(f, 0, k), cut(f, n - 2 * k, n - k), out=cut(out, n - k, n))
     return out
@@ -118,15 +126,30 @@ def div(v: np.ndarray, grid: GridSpec, order: int = 2) -> np.ndarray:
     return out
 
 
+def _stencil(w: np.ndarray, grid: GridSpec, order: int):
+    """First derivatives of W by stencil: d(c, ax, buf) is d_ax W_c, written into buf."""
+    h = grid.spacings
+    return lambda c, ax, buf: _d1(w[c], ax, h[ax], order, buf)
+
+
+def _jacobian(w: np.ndarray, grid: GridSpec, order: int):
+    """All nine first derivatives of W, each taken once; d(c, ax, buf) returns d_ax W_c."""
+    d = _stencil(w, grid, order)
+    jac = [[d(c, ax, np.empty(w.shape[1:])) for ax in range(3)] for c in range(3)]
+    return lambda c, ax, buf: jac[c][ax]
+
+
+def _curl(d, out: np.ndarray) -> np.ndarray:
+    """out_i = d_j V_k - d_k V_j, (i, j, k) cyclic, from V's derivatives d."""
+    tmp = np.empty(out.shape[1:])
+    for i, j, k in _CYCLIC:
+        np.subtract(d(k, j, out[i]), d(j, k, tmp), out=out[i])
+    return out
+
+
 def curl(v: np.ndarray, grid: GridSpec, order: int = 2) -> np.ndarray:
     """Curl of a vector field: component i is d_j V_k - d_k V_j, (i, j, k) cyclic."""
-    h = grid.spacings
-    out = np.empty(v.shape)
-    d = np.empty(v.shape[1:])
-    for i, j, k in _CYCLIC:
-        _d1(v[k], j, h[j], order, out[i])
-        out[i] -= _d1(v[j], k, h[k], order, d)
-    return out
+    return _curl(_stencil(v, grid, order), np.empty(v.shape))
 
 
 def curl_curl(v: np.ndarray, grid: GridSpec, order: int = 2) -> np.ndarray:
@@ -134,27 +157,32 @@ def curl_curl(v: np.ndarray, grid: GridSpec, order: int = 2) -> np.ndarray:
     return curl(curl(v, grid, order), grid, order)
 
 
-def _contract(v: np.ndarray, w: np.ndarray, grid: GridSpec, order: int,
-              on_i: bool) -> np.ndarray:
-    """G_i = sum_k V_k d_k W_i, or sum_k V_k d_i W_k when ``on_i``."""
-    h = grid.spacings
-    out = np.empty(w.shape)
-    d = np.empty(w.shape[1:])
+def _contract(v: np.ndarray, d, on_i: bool = False,
+              trace: np.ndarray | None = None) -> np.ndarray:
+    """G_i = sum_k V_k d_k W_i, or sum_k V_k d_i W_k when ``on_i``, from W's derivatives d.
+
+    ``trace``, when given, receives div W, summed in ``div``'s order.
+    """
+    out = np.empty(v.shape)
+    tmp = np.empty(v.shape[1:])
     for i in range(3):
         for k in range(3):
-            axis, comp = (i, k) if on_i else (k, i)
-            _d1(w[comp], axis, h[axis], order, d)
+            dk = d(k, i, tmp) if on_i else d(i, k, tmp)
+            if trace is not None and i == k:
+                if i == 0:
+                    np.copyto(trace, dk)
+                else:
+                    trace += dk
             if k == 0:
-                np.multiply(v[0], d, out=out[i])
+                np.multiply(v[0], dk, out=out[i])
             else:
-                d *= v[k]
-                out[i] += d
+                out[i] += np.multiply(dk, v[k], out=tmp)
     return out
 
 
 def advect(v: np.ndarray, w: np.ndarray, grid: GridSpec, order: int = 2) -> np.ndarray:
     """Advective derivative (V . grad) W, component i: sum_k V_k d_k W_i."""
-    return _contract(v, w, grid, order, on_i=False)
+    return _contract(v, _stencil(w, grid, order))
 
 
 def grad_contract(v: np.ndarray, w: np.ndarray, grid: GridSpec, order: int = 2) -> np.ndarray:
@@ -163,7 +191,7 @@ def grad_contract(v: np.ndarray, w: np.ndarray, grid: GridSpec, order: int = 2) 
     Together with the Lorentz force this splits the advective force:
     (V.grad)W = grad_contract(V, W) - V x curl(W).
     """
-    return _contract(v, w, grid, order, on_i=True)
+    return _contract(v, _stencil(w, grid, order), on_i=True)
 
 
 def laplacian(s: np.ndarray, grid: GridSpec, order: int = 2) -> np.ndarray:

@@ -81,6 +81,16 @@ def poisson_solve(rhs: np.ndarray, grid: GridSpec, order: int = 2) -> np.ndarray
     return np.fft.irfftn(u_hat, s=grid.shape, axes=axes)
 
 
+def _div_spectrum(v: np.ndarray, grid: GridSpec, order: int) -> np.ndarray | None:
+    """rfftn of div V, or None when div V is at roundoff relative to V."""
+    d = ops.div(v, grid, order)
+    d_l2 = float(np.sqrt(np.vdot(d, d).real))
+    floor = 1e-14 * float(np.sqrt(np.vdot(v, v).real)) / grid.min_spacing
+    if d_l2 <= floor:
+        return None
+    return np.fft.rfftn(d, axes=(0, 1, 2))
+
+
 def helmholtz_project(
     v: np.ndarray,
     grid: GridSpec,
@@ -94,16 +104,27 @@ def helmholtz_project(
     """
     if v.shape != grid.vshape:
         raise ValueError(f"field: expected shape {grid.vshape}, got {v.shape}")
-    d = ops.div(v, grid, order)
-    d_l2 = float(np.sqrt(np.vdot(d, d).real))
-    floor = 1e-14 * float(np.sqrt(np.vdot(v, v).real)) / grid.min_spacing
-    if d_l2 <= floor:
+    phi_hat = _div_spectrum(v, grid, order)
+    if phi_hat is None:
         return v, np.zeros(grid.shape)
     # div has null-space content only at roundoff; the infinite symbol
     # drops it
-    axes = (0, 1, 2)
-    phi_hat = np.fft.rfftn(d, axes=axes)
     phi_hat /= _symbol(grid, order)
-    phi = np.fft.irfftn(phi_hat, s=grid.shape, axes=axes)
-    del d, phi_hat   # free before grad(phi), which sets the peak memory
+    phi = np.fft.irfftn(phi_hat, s=grid.shape, axes=(0, 1, 2))
+    del phi_hat   # free before grad(phi), which sets the peak memory
     return v - ops.grad(phi, grid, order), phi
+
+
+def _gradient_part_norm(v: np.ndarray, grid: GridSpec, order: int) -> float:
+    """||grad phi||_2, what ``helmholtz_project`` removes from V, by Parseval:
+    sqrt((dV/N) sum_m w_m |div V_m|^2 / |symbol_m|) over the rfftn half-spectrum,
+    w_m = 2 counting the conjugate twin it leaves out; 0.0 where it is a no-op.
+    """
+    d_hat = _div_spectrum(v, grid, order)
+    if d_hat is None:
+        return 0.0
+    m = np.arange(d_hat.shape[2])
+    twins = np.where((m == 0) | (2 * m == grid.nz), 1.0, 2.0)
+    power = d_hat.real ** 2 + d_hat.imag ** 2
+    power /= np.abs(_symbol(grid, order))
+    return float(np.sqrt(grid.cell_volume / grid.npoints * (power.sum(axis=(0, 1)) @ twins)))

@@ -13,6 +13,7 @@ fields.  Everything lives on the periodic box.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -398,15 +399,17 @@ SCENARIO_DEFAULTS = {
 
 
 def _coerce(key: str, default, value):
-    """value as its default's type; an integer refuses bools and fractions."""
-    if not isinstance(default, int):
+    """value as its default's type: a number, not a bool; an integer refuses fractions."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if real and not isinstance(default, int):
         return float(value)
     try:
-        if not isinstance(value, bool) and int(value) == float(value):
+        if real and int(value) == float(value):
             return int(value)
-    except (TypeError, ValueError, OverflowError):
+    except (ValueError, OverflowError):
         pass
-    raise ValueError(f"scenario.{key}: expected an integer, got {value!r}")
+    kind = "an integer" if isinstance(default, int) else "a number"
+    raise ValueError(f"scenario.{key}: expected {kind}, got {value!r}")
 
 
 def build_scenario(

@@ -1,11 +1,13 @@
 """Identity suite, diagnostics, and convergence machinery."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import modmhd.analysis as analysis
+import modmhd.operators as ops
 from modmhd import (
     Formulation,
     GridSpec,
@@ -16,6 +18,7 @@ from modmhd import (
     diagnostics,
     fit_order,
     format_identity_report,
+    helmholtz_project,
     identity_suite,
     orszag_tang_like,
     random_solenoidal,
@@ -23,6 +26,7 @@ from modmhd import (
     state_error,
     uniform_rest,
 )
+from modmhd.grid import full_vector
 
 from conftest import TWO_PI, cube, slab
 
@@ -139,6 +143,31 @@ def test_diagnostics_uniform_field_energy():
     st = uniform_rest(cube(16), b0=(b0, 0.0, 0.0)).state
     rec = diagnostics(st, PhysParams())
     assert rec.e_mag == pytest.approx(VOL * b0 ** 2 / (8.0 * np.pi), rel=1e-13)
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("shape", [(24, 16, 12), (9, 10, 11), (16, 8, 9)])
+def test_ohm_resid_matches_the_projection_route(shape, order):
+    # the record sums ||grad phi|| from the spectrum; the long way projects
+    # v x H and differences (odd and even last axes weight the rfftn twins)
+    g = GridSpec(*shape, 1.0, 2.5, 7.0)
+    st = random_solenoidal(g, Formulation.MODIFIED, b0=0.5, amplitude=0.3,
+                           seed=3, order=order).state
+    w = ops.cross(st.v, st.h_total(order))
+    want = ops.l2_norm(w - helmholtz_project(w, g, order)[0], g)
+    got = diagnostics(st, PhysParams(stencil_order=order)).ohm_resid
+    assert want > 0.0
+    assert abs(got - want) <= 1e-12 * ops.l2_norm(w, g)
+
+
+def test_ohm_resid_of_a_solenoidal_field_is_exactly_zero():
+    # uniform v and H make v x H uniform and nonzero: helmholtz_project's
+    # no-op floor
+    g = cube(8)
+    st = uniform_rest(g, b0=(0.0, 0.0, 0.5)).state
+    st = dataclasses.replace(st, v=full_vector(g, (0.3, 0.1, 0.0)))
+    assert ops.max_norm(ops.cross(st.v, st.h_total())) > 0.0
+    assert diagnostics(st, PhysParams()).ohm_resid == 0.0
 
 
 def test_diagnostics_row_matches_columns():

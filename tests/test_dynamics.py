@@ -1,6 +1,12 @@
 """State validation, the shared RHS, RK4, gauge policy, and run()."""
 
+import os
+import platform
+import resource
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -166,6 +172,27 @@ def test_fluid_rhs_is_shared_without_magnetic_field(order):
     assert ops.max_norm(mod.v) > 0.0
     for name in ("v", "rho", "p"):
         assert np.array_equal(getattr(mod, name), getattr(trad, name)), name
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("formulation, calls", [(Formulation.MODIFIED, 30),
+                                                (Formulation.TRADITIONAL, 27)])
+def test_rhs_takes_each_first_derivative_once(formulation, calls, order, monkeypatch):
+    # modified: 9 for the Jacobian of A, 6 for j = curl curl A; both: 3 for
+    # grad P, 9 for (v.grad)v, which also gives div v, and 3 for div(rho v);
+    # traditional: 6 + 6 for its two curls
+    st = random_solenoidal(GridSpec(12, 10, 9, 1.0, 2.5, 7.0), formulation,
+                           b0=0.5, amplitude=0.3, seed=1, order=order).state
+    seen = []
+    inner = ops._d1
+
+    def spy(*args, **kwargs):
+        seen.append(args[1])
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(ops, "_d1", spy)
+    compute_rhs(st, PhysParams(stencil_order=order))
+    assert len(seen) == calls
 
 
 def test_continuity_against_analytic_gradient():
@@ -559,3 +586,51 @@ def test_run_failure_reports_entropy_drift():
     # same meaning as on the success path
     _, ok = run(case.state, p, t_end=t_end)
     assert [r.entropy for r in recs] == [r.entropy for r in ok[:3]]
+
+
+# -- the allocator pin ------------------------------------------------------------
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc mallopt")
+def test_pinned_allocator_keeps_freed_field_memory():
+    # six 1 MiB fields freed together and allocated again reuse the same
+    # pages; with glibc's default thresholds they are unmapped or trimmed
+    # and faulted back in (256 pages each, every round)
+    def churn(rounds):
+        for _ in range(rounds):
+            fields = [np.ones(1 << 17) for _ in range(6)]
+            del fields
+
+    dynamics._keep_freed_heap()
+    churn(2)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    churn(10)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 256
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc mallopt")
+def test_library_run_pins_the_allocator():
+    # the churn above, after a tiny run in a fresh interpreter, so that no
+    # earlier test has pinned the allocator already
+    code = (
+        "import resource\n"
+        "import modmhd\n"
+        "import numpy as np\n"
+        "g = modmhd.GridSpec(8, 8, 8, 1.0, 1.0, 1.0)\n"
+        "st = modmhd.uniform_rest(g, modmhd.Formulation.MODIFIED).state\n"
+        "modmhd.run(st, modmhd.PhysParams(), t_end=0.01)\n"
+        "def churn(rounds):\n"
+        "    for _ in range(rounds):\n"
+        "        fields = [np.ones(1 << 17) for _ in range(6)]\n"
+        "        del fields\n"
+        "churn(2)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "churn(10)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 256, proc.stdout

@@ -5,7 +5,7 @@ import pytest
 
 import modmhd.operators as ops
 from modmhd import GridSpec
-from modmhd.grid import full_vector
+from modmhd.grid import STENCIL_POINTS, full_vector
 
 from conftest import TWO_PI, cube, operator_errors, smooth_scalar, smooth_vector
 
@@ -235,6 +235,39 @@ def test_composite_operators_match_roll_bitwise(order):
         [v[0] * d(w[i], 0) + v[1] * d(w[i], 1) + v[2] * d(w[i], 2) for i in range(3)]))
     assert np.array_equal(ops.grad_contract(v, w, g, order), np.stack(
         [v[0] * d(w[0], i) + v[1] * d(w[1], i) + v[2] * d(w[2], i) for i in range(3)]))
+
+
+def _layouts(shape, rng):
+    """Fields of one shape: C-ordered, Fortran-ordered and a strided slice."""
+    f = rng.standard_normal(shape)
+    big = rng.standard_normal(tuple(2 * n for n in shape))
+    return f, np.asfortranarray(rng.standard_normal(shape)), big[::2, 1::2, ::2]
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_flat_pass_matches_roll_bitwise(order):
+    # the flat interior pass runs into the neighbouring rows at each end of
+    # the differenced axis; the wrap planes must overwrite all of them, on
+    # odd and unequal sizes and on axes of exactly the kernel's (2k) and the
+    # grid's minimum point count, whatever the input and output layouts
+    h = 0.7
+    rng = np.random.default_rng(order)
+    for n in (order, STENCIL_POINTS[order], 9):
+        for axis in range(3):
+            shape = [7, 6, 5]
+            shape[axis] = n
+            shape = tuple(shape)
+            for f in _layouts(shape, rng):
+                want = _roll_d1(f, axis, h, order)
+                assert np.array_equal(ops._d1(f, axis, h, order), want)
+                assert np.array_equal(ops._d2(f, axis, h, order),
+                                      _roll_d2(f, axis, h, order))
+                # a padded row cannot be flattened into a view
+                padded = np.full(shape[:2] + (shape[2] + 1,), np.nan)
+                for out in (np.full(shape, np.nan), padded[..., 1:]):
+                    assert ops._d1(f, axis, h, order, out) is out
+                    assert np.array_equal(out, want)
+                assert np.isnan(padded[..., 0]).all()
 
 
 def test_slice_kernel_rejects_axis_shorter_than_stencil():

@@ -439,6 +439,18 @@ def test_build_scenario_rejects_non_integers_for_integer_parameters(name, key, v
         build_scenario(name, cube(8), Formulation.MODIFIED, {key: value})
 
 
+@pytest.mark.parametrize("name,key,value", [
+    ("alfven_wave", "b0", True),
+    ("sound_wave", "delta", None),
+    ("random_solenoidal", "amplitude", "0.3"),
+    ("orszag_tang_like", "v0", [1.0]),
+], ids=["bool", "none", "string", "list"])
+def test_build_scenario_rejects_non_numbers_for_float_parameters(name, key, value):
+    # float(True) would silently build b0 = 1.0, which parse_config refuses
+    with pytest.raises(ValueError, match=f"scenario.{key}: expected a number"):
+        build_scenario(name, cube(8), Formulation.MODIFIED, {key: value})
+
+
 # -- registry -------------------------------------------------------------------
 
 @pytest.mark.parametrize("formulation", list(Formulation))
