@@ -38,11 +38,12 @@ ORDER_SLACK = 0.3
 
 
 def fit_order(spacings, errors) -> float:
-    """Least-squares slope of log(error) against log(h); nan if degenerate."""
+    """Least-squares slope of log(error) against log(h); nan if degenerate
+    (fewer than two distinct spacings keep an error above roundoff)."""
     h = np.asarray(spacings, dtype=float)
     e = np.asarray(errors, dtype=float)
     keep = e > 1e-15 * e.max(initial=0.0)
-    if keep.sum() < 2:
+    if len(set(h[keep].tolist())) < 2:
         return float("nan")
     slope = np.polyfit(np.log(h[keep]), np.log(e[keep]), 1)[0]
     return float(slope)

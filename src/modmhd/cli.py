@@ -26,7 +26,7 @@ from .diagnostics import CSV_COLUMNS
 from .dispersion import dispersion, oracle_omegas
 from .dynamics import SimulationError, run
 from .params import Formulation
-from .scenarios import SCENARIO_DEFAULTS, uniform_rest
+from .scenarios import SCENARIO_DEFAULTS
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -126,19 +126,18 @@ def cmd_identities(cfg: RunConfig) -> int:
 
 
 def cmd_dispersion(cfg: RunConfig) -> int:
-    grid = cfg.grid()
-    params = cfg.phys()
-    if cfg.dispersion_formulation == "both":
-        formulations = (Formulation.MODIFIED, Formulation.TRADITIONAL)
-    else:
-        formulations = (Formulation(cfg.dispersion_formulation),)
+    """Spectra about the config's own scenario, in both formulations.
 
+    The scenario must build a uniform rest state (for example
+    ``scenario.name = uniform_rest`` with ``scenario.b0x``); any other
+    state is a configuration error and writes no ``dispersion.csv``.
+    """
+    params = cfg.phys()
     header = ("mx", "my", "mz", "formulation", "mode",
               "omega_re", "omega_im", "oracle_re", "oracle_im", "warning")
     rows = []
-    for form in formulations:
-        background = uniform_rest(grid, form, cfg.dispersion_rho0,
-                                  cfg.dispersion_p0, cfg.dispersion_h0).state
+    for form in Formulation:
+        background = dataclasses.replace(cfg, formulation=form.value).build_case().state
         for modes in cfg.dispersion_k:
             result = dispersion(background, modes, params)
             oracle = oracle_omegas(background, modes, params)

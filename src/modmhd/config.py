@@ -47,10 +47,6 @@ class RunConfig:
     seed: int = 7
     identities_resolutions: tuple = (16, 32)
     dispersion_k: tuple = ((1, 0, 0),)
-    dispersion_formulation: str = "both"
-    dispersion_rho0: float = 1.0
-    dispersion_p0: float = 0.6
-    dispersion_h0: tuple = (1.0, 0.0, 0.0)
     convergence_resolutions: tuple = (16, 32, 64)
     convergence_t_end: float = 0.5
     convergence_expect_order: float = 0.0   # 0 = use the stencil order
@@ -105,13 +101,6 @@ def _parse_int_list(raw: str) -> tuple:
     return tuple(_parse_int(p.strip()) for p in raw.split(","))
 
 
-def _parse_float3(raw: str) -> tuple:
-    parts = [p.strip() for p in raw.split(",")]
-    if len(parts) != 3:
-        raise ConfigError(f"expected three comma-separated numbers, got {raw!r}")
-    return tuple(_parse_float(p) for p in parts)
-
-
 def _parse_k_list(raw: str) -> tuple:
     triples = []
     for chunk in raw.split(";"):
@@ -129,6 +118,10 @@ def _parse_k_list(raw: str) -> tuple:
         raise ConfigError("dispersion.k must list at least one wavevector")
     return tuple(triples)
 
+
+# constraint text and check of both resolution lists
+_RESOLUTIONS = ("each >= 4, none repeated",
+                lambda v: all(n >= 4 for n in v) and len(set(v)) == len(v))
 
 # key -> (attribute, parser, constraint text or None, validator or None)
 _KEYS = {
@@ -157,16 +150,10 @@ _KEYS = {
     "output.dir": ("out_dir", str, None, None),
     "seed": ("seed", _parse_int, ">= 0", lambda v: v >= 0),
     "identities.resolutions": ("identities_resolutions", _parse_int_list,
-                               "each >= 4", lambda v: all(n >= 4 for n in v)),
+                               *_RESOLUTIONS),
     "dispersion.k": ("dispersion_k", _parse_k_list, None, None),
-    "dispersion.formulation": ("dispersion_formulation", str,
-                               "modified, traditional or both",
-                               lambda v: v in ("modified", "traditional", "both")),
-    "dispersion.rho0": ("dispersion_rho0", _parse_float, "> 0", lambda v: v > 0),
-    "dispersion.p0": ("dispersion_p0", _parse_float, "> 0", lambda v: v > 0),
-    "dispersion.h0": ("dispersion_h0", _parse_float3, None, None),
     "convergence.resolutions": ("convergence_resolutions", _parse_int_list,
-                                "each >= 4", lambda v: all(n >= 4 for n in v)),
+                                *_RESOLUTIONS),
     "convergence.t_end": ("convergence_t_end", _parse_float, "> 0",
                           lambda v: v > 0),
     "convergence.expect_order": ("convergence_expect_order", _parse_float,
@@ -290,8 +277,6 @@ def serialize_config(cfg: RunConfig) -> str:
         elif f.name == "dispersion_k":
             body = "; ".join(",".join(str(i) for i in t) for t in value)
             lines.append(f'{key} = "{body}"')
-        elif f.name == "dispersion_h0":
-            lines.append(f"{key} = \"{','.join(f'{x:.17g}' for x in value)}\"")
         else:
             lines.append(f"{key} = {_fmt(value)}")
     return "\n".join(lines) + "\n"

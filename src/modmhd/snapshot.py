@@ -116,7 +116,13 @@ def read_snapshot(path) -> SimState:
         raise SnapshotError(f"unknown formulation code {form_code}")
     modified = form_code == 0
     formulation = Formulation.MODIFIED if modified else Formulation.TRADITIONAL
-    background = np.frombuffer(rd.take(72 if modified else 24), dtype="<f8")
+    # an impossible header is refused before any field is read
+    try:
+        grid = GridSpec(nx, ny, nz, lx, ly, lz)
+        background = np.frombuffer(rd.take(72 if modified else 24), dtype="<f8")
+        bg = em.BackgroundPotential(background.reshape(3, 3)) if modified else None
+    except ValueError as exc:
+        raise SnapshotError(f"impossible header value: {exc}") from None
 
     (count,) = struct.unpack("<I", rd.take(4))
     expected = _field_names(formulation)
@@ -134,9 +140,7 @@ def read_snapshot(path) -> SimState:
         raise SnapshotError(f"{len(rd.blob) - rd.pos} trailing bytes after fields")
 
     mag, v, (rho, p) = np.stack(scalars[:3]), np.stack(scalars[3:6]), scalars[6:]
-    common = dict(grid=GridSpec(nx, ny, nz, lx, ly, lz), formulation=formulation,
-                  v=v, rho=rho, p=p, t=t)
+    common = dict(grid=grid, formulation=formulation, v=v, rho=rho, p=p, t=t)
     if modified:
-        return SimState(**common, a=mag,
-                        bg=em.BackgroundPotential(background.reshape(3, 3)))
+        return SimState(**common, a=mag, bg=bg)
     return SimState(**common, h=mag, h0=background.copy())

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -46,6 +47,14 @@ def test_fit_order_degenerate_cases():
     h = np.array([0.4, 0.2, 0.1])
     e = np.array([1e-2, 2.5e-3, 1e-19])
     assert fit_order(h, e) == pytest.approx(2.0, abs=1e-12)
+
+
+def test_fit_order_of_one_repeated_spacing_is_nan():
+    # a single distinct spacing gives no slope; polyfit would warn and guess
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isnan(fit_order([0.1, 0.1], [1e-3, 2e-3]))
+        assert math.isnan(fit_order([0.2, 0.1, 0.1], [1e-30, 1e-3, 2e-3]))
 
 
 def test_state_error_zero_on_identical_states():

@@ -9,6 +9,7 @@ import pytest
 
 from modmhd import cli, parse_config, read_snapshot
 from modmhd.diagnostics import CSV_COLUMNS
+from modmhd.operators import modified_wavenumber
 
 TWO_PI = 6.283185307179586
 
@@ -242,7 +243,8 @@ def test_broken_curl_is_caught_by_identities(tmp_path, capsys, monkeypatch):
 
 
 def test_dispersion_writes_both_formulations(tmp_path, capsys):
-    cfg = _cfg(tmp_path, 'scenario.name = "uniform_rest"\n')
+    cfg = _cfg(tmp_path, 'scenario.name = "uniform_rest"\n'
+                         "scenario.b0x = 1.0\nscenario.p0 = 0.6\n")
     out = tmp_path / "out"
     assert cli.main(["dispersion", "--config", cfg, "--out-dir", str(out)]) == 0
     assert "phase speeds" in capsys.readouterr().out
@@ -276,9 +278,7 @@ def test_dispersion_grid_too_small_for_stencil_order_is_config_error(tmp_path, c
 def test_dispersion_formulations_agree_without_field(tmp_path):
     cfg = _cfg(tmp_path, 'scenario.name = "uniform_rest"\n')
     out = tmp_path / "out"
-    rc = cli.main(["dispersion", "--config", cfg, "--out-dir", str(out),
-                   "--set", "dispersion.h0=0,0,0"])
-    assert rc == 0
+    assert cli.main(["dispersion", "--config", cfg, "--out-dir", str(out)]) == 0
     rows = _read_rows(out / "dispersion.csv")
     by_form = {"modified": [], "traditional": []}
     for r in rows:
@@ -288,6 +288,46 @@ def test_dispersion_formulations_agree_without_field(tmp_path):
     wm = np.sort_complex(by_form["modified"])
     wt = np.sort_complex(by_form["traditional"])
     assert np.abs(wm - wt).max() <= 1e-6
+
+
+def test_dispersion_measures_the_config_scenario(tmp_path):
+    # the transverse branch along H0 = b0x x-hat moves at v_A (traditional)
+    # and v_A / sqrt(2) (modified), with v_A = b0x / sqrt(4 pi rho0)
+    cfg = _cfg(tmp_path, 'scenario.name = "uniform_rest"\n'
+                         "scenario.b0x = 2.0\nscenario.rho0 = 1.7\n")
+    out = tmp_path / "out"
+    assert cli.main(["dispersion", "--config", cfg, "--out-dir", str(out)]) == 0
+    kt = modified_wavenumber(1.0, TWO_PI / 16, 2)
+    va = 2.0 / np.sqrt(4.0 * np.pi * 1.7)
+    rows = _read_rows(out / "dispersion.csv")
+    for form, want in (("traditional", va), ("modified", va / np.sqrt(2.0))):
+        speeds = [abs(float(r["omega_re"])) / kt
+                  for r in rows if r["formulation"] == form]
+        slowest = min(s for s in speeds if s > 1e-10)
+        assert slowest == pytest.approx(want, rel=1e-6)
+
+
+def test_dispersion_of_a_state_not_at_rest_is_config_error(tmp_path, capsys):
+    cfg = _cfg(tmp_path, 'scenario.name = "alfven_wave"\n'
+                         "scenario.b0 = 3\nscenario.p0 = 2\n")
+    out = tmp_path / "out"
+    assert cli.main(["dispersion", "--config", cfg, "--out-dir", str(out)]) == 2
+    assert "uniform rest state" in capsys.readouterr().err
+    assert not (out / "dispersion.csv").exists()
+
+
+@pytest.mark.parametrize("line", [
+    'dispersion.formulation = "both"', "dispersion.rho0 = 1",
+    "dispersion.p0 = 0.6", 'dispersion.h0 = "1,0,0"',
+], ids=["formulation", "rho0", "p0", "h0"])
+def test_removed_dispersion_keys_are_unknown(tmp_path, capsys, line):
+    # config.txt files of earlier versions carry these lines; they are refused
+    cfg = _cfg(tmp_path, f'scenario.name = "uniform_rest"\n{line}\n')
+    out = tmp_path / "out"
+    assert cli.main(["dispersion", "--config", cfg, "--out-dir", str(out)]) == 2
+    key = line.split(" =")[0]
+    assert f"line 8: unknown key {key!r}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_dispersion_zero_mode_is_config_error(tmp_path, capsys):
@@ -387,6 +427,23 @@ def test_convergence_axis_that_does_not_scale_is_config_error(tmp_path, capsys,
     assert rc == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert "ny" in err and "resolution 16" in err
+
+
+@pytest.mark.parametrize("command", ["convergence", "identities"])
+def test_repeated_resolutions_are_config_error(tmp_path, capsys, monkeypatch,
+                                               command):
+    def never(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(cli, "convergence_study", never)
+    monkeypatch.setattr(cli, "identity_suite", never)
+    path = tmp_path / "conv.cfg"
+    path.write_text(ALFVEN_SLAB + f'{command}.resolutions = "16,32,16"\n')
+    out = tmp_path / "o"
+    assert cli.main([command, "--config", str(path), "--out-dir", str(out)]) == 2
+    assert (f"line 9: {command}.resolutions = '16,32,16' violates: "
+            "each >= 4, none repeated") in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_convergence_single_resolution_is_config_error(tmp_path, capsys):

@@ -92,9 +92,8 @@ def test_type_errors_name_key_and_value():
 
 @pytest.mark.parametrize("line,message", [
     ("physics.gamma = abc", "physics.gamma: expected a number, got 'abc'"),
-    ('dispersion.h0 = "1,2"', "dispersion.h0: expected three comma-separated numbers"),
     ('dispersion.k = "1,0"', "dispersion.k: expected integer triples"),
-], ids=["gamma", "h0", "k"])
+], ids=["gamma", "k"])
 def test_malformed_values_report_line_number(line, message):
     with pytest.raises(ConfigError, match="^line 8: " + re.escape(message)):
         parse_config(MINIMAL + line + "\n")
@@ -189,7 +188,7 @@ def test_round_trip_equality():
         "scenario.mode = 2\n"
         "numerics.t_end = 0.75\n"
         'dispersion.k = "1,0,0; 1,1,0"\n'
-        'dispersion.h0 = "0.5,0,0.25"\n'
+        "scenario.b0 = 2.5\n"
         'output.dir = "runs/a b"\n'
         "convergence.expect_order = 2\n"
     )

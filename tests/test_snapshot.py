@@ -74,8 +74,11 @@ def test_unsupported_version_names_both_versions(tmp_path):
         read_snapshot(path)
 
 
-# byte offsets in a modified v1 snapshot: the formulation code follows the
-# magic, version, three sizes and four doubles; the field count follows M
+# byte offsets in a modified v1 snapshot: nx follows the magic and version,
+# lx the three sizes, the formulation code the four doubles; the field
+# count follows M
+_NX_AT = 12
+_LX_AT = 24
 _FORM_AT = 56
 _COUNT_AT = _FORM_AT + 1 + 72
 _NAME_AT = _COUNT_AT + 4
@@ -85,7 +88,10 @@ _NAME_AT = _COUNT_AT + 4
     (_FORM_AT, struct.pack("<B", 7), "unknown formulation code 7"),
     (_COUNT_AT, struct.pack("<I", 7), "expected 8 fields, header says 7"),
     (_NAME_AT, b"Bx".ljust(16, b"\x00"), "expected field 'Ax', found 'Bx'"),
-], ids=["formulation", "count", "name"])
+    (_NX_AT, struct.pack("<I", 0), "impossible header value: nx must be >= 4, got 0"),
+    (_LX_AT, struct.pack("<d", float("nan")),
+     "impossible header value: lx must be positive and finite, got nan"),
+], ids=["formulation", "count", "name", "nx0", "lx_nan"])
 def test_corrupt_header_rejected(tmp_path, offset, patch, message):
     path = tmp_path / "snap.bin"
     write_snapshot(path, _sample_state(Formulation.MODIFIED))
