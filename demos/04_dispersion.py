@@ -41,7 +41,6 @@ def report(tag, background, params):
 def main():
     grid = GridSpec(64, 4, 4, TWO_PI, TWO_PI, TWO_PI)
     params = PhysParams()
-    h0 = np.array([1.0, 0.0, 0.0])
     kt = modified_wavenumber(1.0, grid.hx)
 
     print(f"background: rho0 = 1, P0 = 0.6 (c_s = 1), H0 = (1,0,0)")
@@ -50,10 +49,10 @@ def main():
           f"c_s = 1.00000")
     print()
 
-    trad = uniform_rest(grid, Formulation.TRADITIONAL, 1.0, 0.6, h0).state
+    trad = uniform_rest(grid, Formulation.TRADITIONAL, 1.0, 0.6, b0x=1.0).state
     report("traditional", trad, params)
 
-    mod = uniform_rest(grid, Formulation.MODIFIED, 1.0, 0.6, h0).state
+    mod = uniform_rest(grid, Formulation.MODIFIED, 1.0, 0.6, b0x=1.0).state
     report("modified", mod, params)
 
     print()

@@ -17,7 +17,7 @@ import numpy as np
 
 from .grid import STENCIL_ORDERS_TEXT, STENCIL_POINTS, GridSpec
 from .params import Formulation, GaugePolicy, PhysParams
-from .scenarios import SCENARIO_DEFAULTS, build_scenario
+from .scenarios import SCENARIO_DEFAULTS, build_scenario, check_scenario_param
 
 
 class ConfigError(ValueError):
@@ -92,6 +92,17 @@ def _parse_float(raw: str) -> float:
     if not np.isfinite(value):
         raise ConfigError(f"value must be finite, got {raw!r}")
     return value
+
+
+def _parse_number(raw: str):
+    """Text as an int or a float; other text is returned as is, for the
+    scenario's check to refuse."""
+    for parse in (int, float):
+        try:
+            return parse(raw)
+        except ValueError:
+            pass
+    return raw
 
 
 def _parse_int_list(raw: str) -> tuple:
@@ -205,8 +216,7 @@ def parse_config(text: str, overrides=()) -> RunConfig:
         pairs.append((key.strip(), _unquote(raw), f"--set #{i}"))
 
     values: dict = {}
-    scen_params: dict = {}
-    scen_locs: dict = {}
+    scen_params: dict = {}   # key -> (raw value, location)
     for key, raw, loc in pairs:
         if key in _KEYS:
             attr, parser, constraint, check = _KEYS[key]
@@ -218,8 +228,7 @@ def parse_config(text: str, overrides=()) -> RunConfig:
                 raise ConfigError(f"{loc}: {key} = {raw!r} violates: {constraint}")
             values[attr] = value
         elif key.startswith("scenario."):
-            scen_params[key.removeprefix("scenario.")] = raw
-            scen_locs[key.removeprefix("scenario.")] = loc
+            scen_params[key.removeprefix("scenario.")] = (raw, loc)
         else:
             raise ConfigError(f"{loc}: unknown key {key!r}")
 
@@ -227,22 +236,13 @@ def parse_config(text: str, overrides=()) -> RunConfig:
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
 
-    # Per-scenario parameter vocabulary, typed by the default table.
-    allowed = SCENARIO_DEFAULTS[values["scenario"]]
     typed: dict = {}
-    for pkey, raw in scen_params.items():
-        loc = scen_locs[pkey]
-        if pkey not in allowed:
-            names = ", ".join(sorted(allowed)) or "(none)"
-            raise ConfigError(
-                f"{loc}: scenario {values['scenario']!r} does not take "
-                f"{pkey!r} (allowed: {names})"
-            )
-        parser = _parse_int if isinstance(allowed[pkey], int) else _parse_float
+    for pkey, (raw, loc) in scen_params.items():
         try:
-            typed[pkey] = parser(raw)
-        except ConfigError as exc:
-            raise ConfigError(f"{loc}: scenario.{pkey}: {exc}") from None
+            typed[pkey] = check_scenario_param(values["scenario"], pkey,
+                                               _parse_number(raw))
+        except ValueError as exc:
+            raise ConfigError(f"{loc}: {exc}") from None
     values["scenario_params"] = typed
 
     cfg = RunConfig(**values)

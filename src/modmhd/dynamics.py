@@ -41,6 +41,7 @@ hand-off halts a vCPU that a loaded host is slow to wake.
 from __future__ import annotations
 
 import ctypes
+import math
 import os
 import threading
 from collections import namedtuple
@@ -267,10 +268,13 @@ def run(
     after every ``out_every``-th step, and at t_end.  Entropy is reported
     as drift from the initial record, also to ``on_record``.  If the state
     goes invalid, a SimulationError carrying all records collected so far
-    is raised (nothing is silently dropped).  A grid too small for the
-    stencil order raises ValueError before anything runs.  It pins glibc's
-    heap thresholds for the process (``_keep_freed_heap``).
+    is raised (nothing is silently dropped).  A non-finite t_end or
+    initial time, or a grid too small for the stencil order, raises
+    ValueError before anything runs.  It pins glibc's heap thresholds for
+    the process (``_keep_freed_heap``).
     """
+    if not (math.isfinite(initial.t) and math.isfinite(t_end)):
+        raise ValueError(f"times must be finite, got t = {initial.t}, t_end = {t_end}")
     if t_end < initial.t:
         raise ValueError("t_end must not precede the initial time")
     if out_every < 1:

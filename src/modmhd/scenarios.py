@@ -12,6 +12,7 @@ fields.  Everything lives on the periodic box.
 
 from __future__ import annotations
 
+import inspect
 import math
 import numbers
 import warnings
@@ -56,16 +57,18 @@ def uniform_rest(
     formulation: Formulation = Formulation.MODIFIED,
     rho0: float = 1.0,
     p0: float = 1.0,
-    b0: tuple = (0.0, 0.0, 0.0),
+    b0x: float = 0.0,
+    b0y: float = 0.0,
+    b0z: float = 0.0,
 ) -> CaseSetup:
-    """Rest state with a uniform field: the fixed point of both systems."""
+    """Rest state in the uniform field (b0x, b0y, b0z): both systems' fixed point."""
     _check_positive(rho0=rho0, p0=p0)
 
     def make(g: GridSpec, t: float) -> SimState:
         return _mag_state(
             g, formulation, np.zeros(g.vshape),
             np.full(g.shape, rho0), np.full(g.shape, p0),
-            np.zeros(g.vshape), np.zeros(g.vshape), b0, t=t,
+            np.zeros(g.vshape), np.zeros(g.vshape), (b0x, b0y, b0z), t=t,
         )
 
     return CaseSetup(state=make(grid, 0.0), exact=make)
@@ -387,28 +390,40 @@ def manufactured(
 
 # --- registry (the config-file vocabulary) ----------------------------------
 
+#: Builder arguments set by the run, not by ``scenario.*`` keys: the grid,
+#: the formulation, ``physics.gamma``, ``seed`` and ``numerics.stencil_order``.
+_RUN_SETTINGS = ("grid", "formulation", "gamma", "seed", "order")
+
+#: Scenario name -> {scenario.* key: default}, read off each builder's
+#: keyword arguments: a builder's signature is its config vocabulary.
 SCENARIO_DEFAULTS = {
-    "uniform_rest": {"rho0": 1.0, "p0": 1.0, "b0x": 0.0, "b0y": 0.0, "b0z": 0.0},
-    "alfven_wave": {"rho0": 1.0, "p0": 0.6, "b0": 1.0, "delta": 1e-3, "mode": 1},
-    "sound_wave": {"rho0": 1.0, "p0": 1.0, "delta": 1e-4, "mode": 1},
-    "random_solenoidal": {"rho0": 1.0, "p0": 1.0, "b0": 0.5, "amplitude": 0.05,
-                          "k_max": 2},
-    "orszag_tang_like": {"rho0": 1.0, "p0": 1.0, "a0": 0.2, "v0": 0.2},
-    "manufactured": {},
+    builder.__name__: {key: p.default for key, p in inspect.signature(builder).parameters.items()
+                       if key not in _RUN_SETTINGS}
+    for builder in (uniform_rest, alfven_wave, sound_wave, random_solenoidal,
+                    orszag_tang_like, manufactured)
 }
 
 
-def _coerce(key: str, default, value):
-    """value as its default's type: a number, not a bool; an integer refuses fractions."""
+def check_scenario_param(name: str, key: str, value):
+    """``value`` typed as the default of scenario ``name``'s keyword ``key``.
+
+    It must be a number and not a bool; a float must be finite and an
+    integer refuses fractions.  Anything else raises ValueError.
+    """
+    defaults = SCENARIO_DEFAULTS[name]
+    if key not in defaults:
+        allowed = ", ".join(sorted(defaults)) or "(none)"
+        raise ValueError(f"scenario {name!r} does not take {key!r} (allowed: {allowed})")
+    integer = isinstance(defaults[key], int)
     real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    if real and not isinstance(default, int):
-        return float(value)
     try:
-        if real and int(value) == float(value):
+        if real and integer and int(value) == float(value):
             return int(value)
-    except (ValueError, OverflowError):
+        if real and not integer and math.isfinite(value):
+            return float(value)
+    except (ValueError, OverflowError):   # nan, inf, or beyond float range
         pass
-    kind = "an integer" if isinstance(default, int) else "a number"
+    kind = "an integer" if integer else "a finite number" if real else "a number"
     raise ValueError(f"scenario.{key}: expected {kind}, got {value!r}")
 
 
@@ -421,35 +436,16 @@ def build_scenario(
     seed: int = 7,
     order: int = 2,
 ) -> CaseSetup:
-    """Dispatch on scenario name with per-scenario parameter validation."""
+    """Build scenario ``name`` from its checked ``scenario_params``, plus the
+    run settings (gamma, seed, order) its builder's signature takes."""
     if name not in SCENARIO_DEFAULTS:
         known = ", ".join(sorted(SCENARIO_DEFAULTS))
         raise ValueError(f"unknown scenario {name!r} (known: {known})")
-    defaults = SCENARIO_DEFAULTS[name]
-    params = dict(defaults)
-    for key, value in (scenario_params or {}).items():
-        if key not in defaults:
-            allowed = ", ".join(sorted(defaults)) or "(none)"
-            raise ValueError(
-                f"scenario {name!r} does not take parameter {key!r} "
-                f"(allowed: {allowed})"
-            )
-        params[key] = _coerce(key, defaults[key], value)
-
-    if name == "uniform_rest":
-        b0 = (params["b0x"], params["b0y"], params["b0z"])
-        return uniform_rest(grid, formulation, params["rho0"], params["p0"], b0)
-    if name == "alfven_wave":
-        return alfven_wave(grid, formulation, params["rho0"], params["p0"],
-                           params["b0"], params["delta"], params["mode"])
-    if name == "sound_wave":
-        return sound_wave(grid, formulation, params["rho0"], params["p0"],
-                          gamma, params["delta"], params["mode"])
-    if name == "random_solenoidal":
-        return random_solenoidal(grid, formulation, params["rho0"], params["p0"],
-                                 params["b0"], params["amplitude"],
-                                 params["k_max"], seed, order)
-    if name == "orszag_tang_like":
-        return orszag_tang_like(grid, formulation, params["rho0"], params["p0"],
-                                params["a0"], params["v0"])
-    return manufactured(grid, formulation, gamma)
+    kwargs = {key: check_scenario_param(name, key, value)
+              for key, value in (scenario_params or {}).items()}
+    # looked up at call time, so a rebound module attribute is the one called
+    builder = globals()[name]
+    takes = inspect.signature(builder).parameters
+    settings = {"gamma": gamma, "seed": seed, "order": order}
+    kwargs.update((key, value) for key, value in settings.items() if key in takes)
+    return builder(grid, formulation, **kwargs)

@@ -21,6 +21,7 @@ leaves a half-written snapshot under the final name.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import tempfile
@@ -30,7 +31,7 @@ import numpy as np
 from . import electromagnetics as em
 from .grid import GridSpec
 from .params import Formulation
-from .state import SimState
+from .state import SimState, finite_h0
 
 MAGIC = b"MODMHD1\x00"
 VERSION = 1
@@ -119,8 +120,11 @@ def read_snapshot(path) -> SimState:
     # an impossible header is refused before any field is read
     try:
         grid = GridSpec(nx, ny, nz, lx, ly, lz)
-        background = np.frombuffer(rd.take(72 if modified else 24), dtype="<f8")
-        bg = em.BackgroundPotential(background.reshape(3, 3)) if modified else None
+        if not math.isfinite(t):
+            raise ValueError(f"t must be finite, got {t}")
+        values = np.frombuffer(rd.take(72 if modified else 24), dtype="<f8")
+        background = (em.BackgroundPotential(values.reshape(3, 3)) if modified
+                      else finite_h0(values.copy()))
     except ValueError as exc:
         raise SnapshotError(f"impossible header value: {exc}") from None
 
@@ -142,5 +146,5 @@ def read_snapshot(path) -> SimState:
     mag, v, (rho, p) = np.stack(scalars[:3]), np.stack(scalars[3:6]), scalars[6:]
     common = dict(grid=grid, formulation=formulation, v=v, rho=rho, p=p, t=t)
     if modified:
-        return SimState(**common, a=mag, bg=bg)
-    return SimState(**common, h=mag, h0=background.copy())
+        return SimState(**common, a=mag, bg=background)
+    return SimState(**common, h=mag, h0=background)

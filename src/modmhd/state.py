@@ -22,14 +22,22 @@ class StateInvalidError(RuntimeError):
         self.quantity = quantity
 
 
+def finite_h0(h0) -> np.ndarray:
+    """``h0`` as a float 3-vector; ValueError unless it is finite."""
+    h0 = np.asarray(h0, dtype=float).reshape(3)
+    if not np.isfinite(h0).all():
+        raise ValueError(f"h0 must be finite, got {h0}")
+    return h0
+
+
 @dataclass
 class SimState:
     """Fluid + magnetic state on one grid at one time.
 
     Modified formulation: ``a`` holds the periodic vector potential and
     ``bg`` the affine background A0 = M x.  Traditional formulation: ``h``
-    holds the periodic magnetic field and ``h0`` a uniform background
-    vector.  rho and P must be strictly positive everywhere.
+    holds the periodic magnetic field and ``h0`` a finite uniform
+    background vector.  rho and P must be strictly positive everywhere.
 
     ``fields`` is the evolved tuple ``(mag, v, rho, p)``; ``with_fields``
     and ``dynamics.Rhs`` take the same order, so code that acts on every
@@ -58,9 +66,7 @@ class SimState:
         else:
             if self.h is None:
                 raise ValueError("traditional state needs the periodic field h")
-            if self.h0 is None:
-                self.h0 = np.zeros(3)
-            self.h0 = np.asarray(self.h0, dtype=float).reshape(3)
+            self.h0 = finite_h0(np.zeros(3) if self.h0 is None else self.h0)
             mag_name = "h"
         for name, arr, shape in zip((mag_name, "v", "rho", "p"), self.fields,
                                     (g.vshape, g.vshape, g.shape, g.shape)):

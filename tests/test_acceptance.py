@@ -92,7 +92,7 @@ def test_criterion_3_alfven_wave_speed_and_return():
     assert abs(speed - VA) / VA <= 0.01
 
     rest = uniform_rest(grid, Formulation.TRADITIONAL, rho0=1.0, p0=0.6,
-                        b0=(1.0, 0.0, 0.0)).state
+                        b0x=1.0).state
     pert = state_error(case.state, rest)
     ret = state_error(final, case.state) / pert
     assert ret <= 2e-2
@@ -103,9 +103,8 @@ def test_criterion_3_alfven_wave_speed_and_return():
 def test_criterion_4_linear_spectra():
     grid = slab(64)
     params = PhysParams()
-    h0 = np.array([1.0, 0.0, 0.0])
-    trad = uniform_rest(grid, Formulation.TRADITIONAL, 1.0, 0.6, h0).state
-    mod = uniform_rest(grid, Formulation.MODIFIED, 1.0, 0.6, h0).state
+    trad = uniform_rest(grid, Formulation.TRADITIONAL, 1.0, 0.6, b0x=1.0).state
+    mod = uniform_rest(grid, Formulation.MODIFIED, 1.0, 0.6, b0x=1.0).state
 
     res_t = dispersion(trad, (1, 0, 0), params)
     st = sorted(s for s in res_t.speeds() if s > 1e-10)
@@ -181,7 +180,7 @@ def test_criterion_5_conservation_and_gauge_control():
 
 def test_criterion_6_uniform_rest_is_bitwise_fixed():
     for formulation in (Formulation.MODIFIED, Formulation.TRADITIONAL):
-        st0 = uniform_rest(cube(16), formulation, b0=(0.3, 0.0, 0.0)).state
+        st0 = uniform_rest(cube(16), formulation, b0x=0.3).state
         params = PhysParams()
         rhs = compute_rhs(st0, params)
         for part in (rhs.mag, rhs.v, rhs.rho, rhs.p):

@@ -149,7 +149,7 @@ def test_diagnostics_uniform_rest_frozen_values():
 
 def test_diagnostics_uniform_field_energy():
     b0 = 0.7
-    st = uniform_rest(cube(16), b0=(b0, 0.0, 0.0)).state
+    st = uniform_rest(cube(16), b0x=b0).state
     rec = diagnostics(st, PhysParams())
     assert rec.e_mag == pytest.approx(VOL * b0 ** 2 / (8.0 * np.pi), rel=1e-13)
 
@@ -173,7 +173,7 @@ def test_ohm_resid_of_a_solenoidal_field_is_exactly_zero():
     # uniform v and H make v x H uniform and nonzero: helmholtz_project's
     # no-op floor
     g = cube(8)
-    st = uniform_rest(g, b0=(0.0, 0.0, 0.5)).state
+    st = uniform_rest(g, b0z=0.5).state
     st = dataclasses.replace(st, v=full_vector(g, (0.3, 0.1, 0.0)))
     assert ops.max_norm(ops.cross(st.v, st.h_total())) > 0.0
     assert diagnostics(st, PhysParams()).ohm_resid == 0.0
@@ -187,6 +187,21 @@ def test_diagnostics_row_matches_columns():
     assert len(row) == len(CSV_COLUMNS)
     assert row[CSV_COLUMNS.index("dt")] == 0.01
     assert row[CSV_COLUMNS.index("mass")] == rec.mass
+
+
+def test_diagnostics_csv_column_contract():
+    # downstream tooling reads diagnostics.csv by these names in this order
+    from dataclasses import fields
+
+    from modmhd.diagnostics import CSV_COLUMNS, DiagnosticsRecord
+
+    assert CSV_COLUMNS == (
+        "t", "dt", "mass", "momx", "momy", "momz",
+        "e_kin", "e_mag", "e_int", "e_tot",
+        "divA_l2", "divA_max", "divH_l2",
+        "ohm_resid", "gauge_drift", "entropy",
+    )
+    assert tuple(f.name for f in fields(DiagnosticsRecord)) == CSV_COLUMNS
 
 
 # --- convergence studies -----------------------------------------------------

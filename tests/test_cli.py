@@ -42,6 +42,20 @@ def test_info_exits_zero(capsys):
     assert "alfven_wave" in out
 
 
+def test_info_lists_each_scenario_key_with_its_default(capsys):
+    # the scenario.* vocabulary, read off the builders' keyword arguments
+    assert cli.main(["info"]) == 0
+    assert """\
+scenarios and their parameters:
+  alfven_wave: b0=1.0, delta=0.001, mode=1, p0=0.6, rho0=1.0
+  manufactured: (no parameters)
+  orszag_tang_like: a0=0.2, p0=1.0, rho0=1.0, v0=0.2
+  random_solenoidal: amplitude=0.05, b0=0.5, k_max=2, p0=1.0, rho0=1.0
+  sound_wave: delta=0.0001, mode=1, p0=1.0, rho0=1.0
+  uniform_rest: b0x=0.0, b0y=0.0, b0z=0.0, p0=1.0, rho0=1.0
+config defaults""" in capsys.readouterr().out
+
+
 def test_help_exits_zero(capsys):
     assert cli.main(["--help"]) == 0
     assert cli.main(["run", "--help"]) == 0

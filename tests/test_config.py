@@ -130,6 +130,21 @@ def test_scenario_params_typed_by_default_table():
         parse_config(MINIMAL + "scenario.mode = 1.5\n")
 
 
+def test_scenario_params_are_checked_by_the_scenario():
+    # the library's rules: an integral float is an integer, and a float
+    # must be finite
+    cfg = parse_config(MINIMAL + "scenario.mode = 2.0\nscenario.b0 = 2\n")
+    assert cfg.scenario_params == {"mode": 2, "b0": 2.0}
+    assert isinstance(cfg.scenario_params["mode"], int)
+    assert isinstance(cfg.scenario_params["b0"], float)
+    with pytest.raises(ConfigError,
+                       match="line 8: scenario.delta: expected a finite number, got nan"):
+        parse_config(MINIMAL + "scenario.delta = nan\n")
+    with pytest.raises(ConfigError,
+                       match=r"--set #1: scenario.mode: expected an integer, got 'two'"):
+        parse_config(MINIMAL, overrides=("scenario.mode=two",))
+
+
 def test_overrides_win_over_file():
     cfg = parse_config(MINIMAL + "numerics.t_end = 1.0\n",
                        overrides=("numerics.t_end=2.5", "seed=11"))

@@ -22,11 +22,11 @@ VA = 1.0 / np.sqrt(4.0 * np.pi)
 
 
 def _trad(g, h0=(1.0, 0.0, 0.0), rho0=1.0, p0=0.6):
-    return uniform_rest(g, Formulation.TRADITIONAL, rho0, p0, h0).state
+    return uniform_rest(g, Formulation.TRADITIONAL, rho0, p0, *h0).state
 
 
 def _mod(g, h0=(1.0, 0.0, 0.0), rho0=1.0, p0=0.6):
-    return uniform_rest(g, Formulation.MODIFIED, rho0, p0, h0).state
+    return uniform_rest(g, Formulation.MODIFIED, rho0, p0, *h0).state
 
 
 def test_wavevector_from_modes():
@@ -177,7 +177,7 @@ def test_modified_spectrum_depends_on_background_gauge():
 @pytest.mark.parametrize("formulation", list(Formulation))
 def test_dispersion_rejects_a_state_not_at_uniform_rest(formulation, field):
     g = slab(16)
-    background = uniform_rest(g, formulation, 1.0, 0.6, (1.0, 0.0, 0.0)).state
+    background = uniform_rest(g, formulation, 1.0, 0.6, b0x=1.0).state
     getattr(background, field)[0, 3, 1] += 1e-3
     with pytest.raises(ValueError, match="uniform rest state"):
         dispersion(background, (1, 0, 0), PhysParams())
@@ -188,7 +188,7 @@ def test_dispersion_rejects_a_state_not_at_uniform_rest(formulation, field):
 @pytest.mark.parametrize("formulation", list(Formulation))
 def test_dispersion_leaves_its_background_unchanged(formulation):
     g = slab(16)
-    background = uniform_rest(g, formulation, 1.0, 0.6, (0.3, 0.4, 0.0)).state
+    background = uniform_rest(g, formulation, 1.0, 0.6, b0x=0.3, b0y=0.4).state
     before = [f.copy() for f in background.fields]
     dispersion(background, (1, 0, 0), PhysParams())
     for f, f0 in zip(background.fields, before):
@@ -198,7 +198,7 @@ def test_dispersion_leaves_its_background_unchanged(formulation):
 @pytest.mark.parametrize("formulation", list(Formulation))
 def test_dispersion_rejects_a_grid_too_small_for_stencil_order(formulation):
     # slab(16) is 16x4x4: an order-4 stencil needs 8 points per axis
-    background = uniform_rest(slab(16), formulation, 1.0, 0.6, (1.0, 0.0, 0.0)).state
+    background = uniform_rest(slab(16), formulation, 1.0, 0.6, b0x=1.0).state
     params = PhysParams(stencil_order=4)
     with pytest.raises(ValueError, match="at least 8 points"):
         dispersion(background, (1, 0, 0), params)

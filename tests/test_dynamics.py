@@ -59,6 +59,15 @@ def test_state_requires_matching_magnetic_field():
         SimState(**kw)
 
 
+@pytest.mark.parametrize("h0", [(np.nan, 0.0, 0.0), (0.0, np.inf, 0.0)],
+                         ids=["nan", "inf"])
+def test_state_refuses_non_finite_background_field(h0):
+    g = cube(8)
+    with pytest.raises(ValueError, match="h0 must be finite"):
+        SimState(g, Formulation.TRADITIONAL, np.zeros(g.vshape), np.ones(g.shape),
+                 np.ones(g.shape), h=np.zeros(g.vshape), h0=h0)
+
+
 @pytest.mark.parametrize("formulation,name", [
     (f, name) for f in Formulation
     for name in ("a" if f is Formulation.MODIFIED else "h", "v", "rho", "p")
@@ -115,7 +124,7 @@ def test_state_fields_order(formulation):
 @pytest.mark.parametrize("formulation", list(Formulation))
 def test_uniform_rest_rhs_is_exactly_zero(formulation):
     g = cube(16)
-    st = uniform_rest(g, formulation, rho0=2.0, p0=0.5, b0=(0.4, -0.2, 0.9)).state
+    st = uniform_rest(g, formulation, rho0=2.0, p0=0.5, b0x=0.4, b0y=-0.2, b0z=0.9).state
     rhs = compute_rhs(st, PhysParams())
     for part in rhs:
         assert np.all(part == 0.0)
@@ -305,7 +314,7 @@ def test_step_rejects_nonpositive_dt():
 @pytest.mark.parametrize("formulation", list(Formulation))
 def test_fixed_point_bitwise(formulation):
     g = cube(8)
-    st0 = uniform_rest(g, formulation, b0=(0.3, 0.0, 0.1)).state
+    st0 = uniform_rest(g, formulation, b0x=0.3, b0z=0.1).state
     st = st0.copy()
     for i in range(20):
         st, _ = step_rk4(st, 0.05, PhysParams(), step_index=i)
@@ -503,6 +512,20 @@ def test_run_rejects_bad_arguments():
         run(_rest_state(cube(6)), PhysParams(stencil_order=4), t_end=1.0)
 
 
+@pytest.mark.parametrize("t0,t_end", [(0.0, np.nan), (0.0, np.inf), (np.nan, 1.0)],
+                         ids=["t_end_nan", "t_end_inf", "t0_nan"])
+def test_run_refuses_non_finite_times(t0, t_end):
+    # a nan time ended the run at once with one record; inf never clips
+    st = _rest_state(cube(8))
+    st = st.with_fields(*st.fields, t=t0)
+
+    def started(*args):
+        raise AssertionError("the run started")
+
+    with pytest.raises(ValueError, match="times must be finite"):
+        run(st, PhysParams(), t_end=t_end, on_record=started, on_step=started)
+
+
 def test_run_record_cadence():
     g = cube(8)
     st = _rest_state(g)
@@ -521,7 +544,7 @@ def test_run_record_cadence():
 def test_run_fixed_point_conservation():
     g = cube(8)
     st = uniform_rest(g, Formulation.TRADITIONAL, rho0=1.3, p0=0.9,
-                      b0=(0.5, 0.0, 0.0)).state
+                      b0x=0.5).state
     p = PhysParams()
     dt = cfl_dt(st, p)
     _, recs = run(st, p, t_end=99.5 * dt)

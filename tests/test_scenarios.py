@@ -1,6 +1,5 @@
 """Initial-condition builders and the manufactured-solution machinery."""
 
-import inspect
 import os
 import subprocess
 import sys
@@ -38,7 +37,7 @@ from conftest import TWO_PI, cube, slab
 def test_uniform_rest_is_fixed_point_both_ways():
     g = cube(8)
     for form in Formulation:
-        case = uniform_rest(g, form, rho0=2.0, p0=3.0, b0=(0.1, 0.2, 0.3))
+        case = uniform_rest(g, form, rho0=2.0, p0=3.0, b0x=0.1, b0y=0.2, b0z=0.3)
         rhs = compute_rhs(case.state, PhysParams())
         assert all(np.all(part == 0.0) for part in rhs)
         # exact callback reproduces the state at any time
@@ -57,7 +56,7 @@ def test_uniform_rest_validates_positivity():
 def test_uniform_rest_magnetic_energy():
     g = cube(8)
     b0 = 0.6
-    case = uniform_rest(g, Formulation.TRADITIONAL, b0=(b0, 0.0, 0.0))
+    case = uniform_rest(g, Formulation.TRADITIONAL, b0x=b0)
     rec = diagnostics(case.state, PhysParams())
     vol = TWO_PI ** 3
     assert rec.e_mag == pytest.approx(vol * b0 ** 2 / (8.0 * np.pi), rel=1e-12)
@@ -80,7 +79,7 @@ def test_alfven_warns_on_nonlinear_amplitude():
 def test_alfven_zero_amplitude_is_uniform_rest():
     g = cube(8)
     case = alfven_wave(g, Formulation.TRADITIONAL, delta=0.0)
-    rest = uniform_rest(g, Formulation.TRADITIONAL, p0=0.6, b0=(1.0, 0.0, 0.0))
+    rest = uniform_rest(g, Formulation.TRADITIONAL, p0=0.6, b0x=1.0)
     assert np.array_equal(case.state.h + case.state.h0[:, None, None, None],
                           rest.state.h + rest.state.h0[:, None, None, None])
     assert np.all(case.state.v == 0.0)
@@ -197,7 +196,7 @@ def test_random_solenoidal_negative_amplitude_is_projected():
 def test_random_solenoidal_zero_amplitude():
     g = cube(8)
     st = random_solenoidal(g, amplitude=0.0, b0=0.25).state
-    rest = uniform_rest(g, Formulation.MODIFIED, b0=(0.25, 0.0, 0.0)).state
+    rest = uniform_rest(g, Formulation.MODIFIED, b0x=0.25).state
     assert np.array_equal(st.a, rest.a)
     assert np.array_equal(st.v, rest.v)
 
@@ -451,19 +450,30 @@ def test_build_scenario_rejects_non_numbers_for_float_parameters(name, key, valu
         build_scenario(name, cube(8), Formulation.MODIFIED, {key: value})
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")],
+                         ids=["nan", "inf", "-inf"])
+def test_build_scenario_rejects_non_finite_float_parameters(value):
+    with pytest.raises(ValueError, match="scenario.delta: expected a finite number"):
+        build_scenario("alfven_wave", cube(8), Formulation.MODIFIED, {"delta": value})
+
+
+def test_build_scenario_passes_the_run_settings_its_builder_takes():
+    g = cube(8)
+    built = build_scenario("sound_wave", g, Formulation.MODIFIED, {}, gamma=1.4).state
+    assert np.array_equal(built.p, sound_wave(g, gamma=1.4).state.p)
+    built = build_scenario("random_solenoidal", g, Formulation.MODIFIED, {},
+                           seed=3, order=4).state
+    direct = random_solenoidal(g, seed=3, order=4).state
+    assert np.array_equal(built.a, direct.a)
+
+
 # -- registry -------------------------------------------------------------------
 
 @pytest.mark.parametrize("formulation", list(Formulation))
 @pytest.mark.parametrize("name", sorted(SCENARIO_DEFAULTS))
 def test_config_defaults_are_the_builders_defaults(name, formulation):
-    # SCENARIO_DEFAULTS repeats each builder's keyword defaults; an edit to
-    # only one copy must fail here (uniform_rest's b0 is spelled b0x/b0y/b0z)
+    # a config that sets no scenario.* key builds the builder's own defaults
     builder = getattr(scenarios, name)
-    want = {k: p.default for k, p in inspect.signature(builder).parameters.items()}
-    if name == "uniform_rest":
-        want.update(zip(("b0x", "b0y", "b0z"), want.pop("b0")))
-    for key, value in SCENARIO_DEFAULTS[name].items():
-        assert (type(value), value) == (type(want[key]), want[key]), key
     g = cube(8)
     built = build_scenario(name, g, formulation, {}).state
     direct = builder(g, formulation).state

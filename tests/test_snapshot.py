@@ -74,27 +74,35 @@ def test_unsupported_version_names_both_versions(tmp_path):
         read_snapshot(path)
 
 
-# byte offsets in a modified v1 snapshot: nx follows the magic and version,
-# lx the three sizes, the formulation code the four doubles; the field
-# count follows M
+# byte offsets in a v1 snapshot: nx follows the magic and version, lx the
+# three sizes, t the three lengths, the formulation code the four doubles;
+# the background follows it, and in a modified file the field count
+# follows M
 _NX_AT = 12
 _LX_AT = 24
+_T_AT = 48
 _FORM_AT = 56
-_COUNT_AT = _FORM_AT + 1 + 72
+_BACKGROUND_AT = _FORM_AT + 1
+_COUNT_AT = _BACKGROUND_AT + 72
 _NAME_AT = _COUNT_AT + 4
+_NAN = struct.pack("<d", float("nan"))
+_MOD, _TRAD = Formulation.MODIFIED, Formulation.TRADITIONAL
 
 
-@pytest.mark.parametrize("offset,patch,message", [
-    (_FORM_AT, struct.pack("<B", 7), "unknown formulation code 7"),
-    (_COUNT_AT, struct.pack("<I", 7), "expected 8 fields, header says 7"),
-    (_NAME_AT, b"Bx".ljust(16, b"\x00"), "expected field 'Ax', found 'Bx'"),
-    (_NX_AT, struct.pack("<I", 0), "impossible header value: nx must be >= 4, got 0"),
-    (_LX_AT, struct.pack("<d", float("nan")),
+@pytest.mark.parametrize("formulation,offset,patch,message", [
+    (_MOD, _FORM_AT, struct.pack("<B", 7), "unknown formulation code 7"),
+    (_MOD, _COUNT_AT, struct.pack("<I", 7), "expected 8 fields, header says 7"),
+    (_MOD, _NAME_AT, b"Bx".ljust(16, b"\x00"), "expected field 'Ax', found 'Bx'"),
+    (_MOD, _NX_AT, struct.pack("<I", 0),
+     "impossible header value: nx must be >= 4, got 0"),
+    (_MOD, _LX_AT, _NAN,
      "impossible header value: lx must be positive and finite, got nan"),
-], ids=["formulation", "count", "name", "nx0", "lx_nan"])
-def test_corrupt_header_rejected(tmp_path, offset, patch, message):
+    (_TRAD, _BACKGROUND_AT, _NAN, "impossible header value: h0 must be finite"),
+    (_MOD, _T_AT, _NAN, "impossible header value: t must be finite, got nan"),
+], ids=["formulation", "count", "name", "nx0", "lx_nan", "h0_nan", "t_nan"])
+def test_corrupt_header_rejected(tmp_path, formulation, offset, patch, message):
     path = tmp_path / "snap.bin"
-    write_snapshot(path, _sample_state(Formulation.MODIFIED))
+    write_snapshot(path, _sample_state(formulation))
     blob = bytearray(path.read_bytes())
     blob[offset:offset + len(patch)] = patch
     path.write_bytes(bytes(blob))
