@@ -25,7 +25,7 @@ def main():
     samples = []
 
     def capture(state, step):
-        coef = np.sum(state.h[1] * np.exp(-1j * x))
+        coef = np.sum(state.mag[1] * np.exp(-1j * x))
         samples.append((state.t, np.angle(coef)))
 
     print(f"v_A = {VA:.6f}, one period = {period:.4f}")

@@ -71,9 +71,9 @@ def main():
     fig, axes = plt.subplots(1, 2, figsize=(9, 4))
     for ax, (formulation, final) in zip(axes, finals.items()):
         if formulation is Formulation.MODIFIED:
-            j = current_from_a(final.a, GRID)
+            j = current_from_a(final.mag, GRID)
         else:
-            j = ops.curl(final.h, GRID) / (4.0 * np.pi)
+            j = ops.curl(final.mag, GRID) / (4.0 * np.pi)
         ax.imshow(j[2][:, :, 0].T, origin="lower", cmap="RdBu_r",
                   extent=(0, TWO_PI, 0, TWO_PI))
         ax.set_title(f"j_z, {formulation.value}")

@@ -213,11 +213,9 @@ def identity_suite(
 
         # (b) curl of the potential equation reproduces the induction
         # equation when the traditional state carries H = curl A.
-        s_mod = SimState(grid, Formulation.MODIFIED, v, rho, p, a=a, bg=bg)
-        s_trad = SimState(
-            grid, Formulation.TRADITIONAL, v, rho, p,
-            h=ops.curl(a, grid, order), h0=bg.uniform_field,
-        )
+        s_mod = SimState(grid, Formulation.MODIFIED, a, v, rho, p, bg)
+        s_trad = SimState(grid, Formulation.TRADITIONAL, ops.curl(a, grid, order),
+                          v, rho, p, bg)
         dh_mod = ops.curl(compute_rhs(s_mod, params).mag, grid, order)
         dh_trad = compute_rhs(s_trad, params).mag
         induction.append(

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -13,15 +13,6 @@ from .projection import _gradient_part_norm
 from .state import SimState
 
 FOUR_PI = em.FOUR_PI
-
-#: Column order of diagnostics.csv, fixed for downstream tooling.
-CSV_COLUMNS = (
-    "t", "dt", "mass", "momx", "momy", "momz",
-    "e_kin", "e_mag", "e_int", "e_tot",
-    "divA_l2", "divA_max", "divH_l2",
-    "ohm_resid", "gauge_drift", "entropy",
-)
-
 
 @dataclass(frozen=True)
 class DiagnosticsRecord:
@@ -34,7 +25,9 @@ class DiagnosticsRecord:
     without forming phi.  It measures the tension between the phi = 0,
     div A = 0 gauge pair for the modified system; traditional runs report
     0.  entropy is the raw integral of rho*ln(P rho^-gamma); run() shifts
-    it so the t = 0 record is zero (only drift is meaningful).
+    it so the record of its initial state reads zero, whatever that
+    state's t (only drift is meaningful).  The field order is the column
+    order of diagnostics.csv.
     """
 
     t: float
@@ -56,6 +49,10 @@ class DiagnosticsRecord:
 
     def as_row(self) -> tuple[float, ...]:
         return tuple(getattr(self, c) for c in CSV_COLUMNS)
+
+
+#: Column order of diagnostics.csv, fixed for downstream tooling.
+CSV_COLUMNS = tuple(f.name for f in fields(DiagnosticsRecord))
 
 
 def diagnostics(
@@ -89,7 +86,7 @@ def diagnostics(
     divh_l2 = ops.l2_norm(divh, g)
 
     if state.formulation is Formulation.MODIFIED:
-        diva = ops.div(state.a, g, order)
+        diva = ops.div(state.mag, g, order)
         diva_l2 = ops.l2_norm(diva, g)
         diva_max = ops.max_norm(diva)
         ohm = _gradient_part_norm(ops.cross(state.v, h_tot), g, order)

@@ -1,8 +1,8 @@
 """Linear wave spectra about a uniform rest state.
 
 The background is an ordinary ``SimState`` at rest: v = 0, zero periodic
-field, constant rho and P, with the uniform field H0 carried the way the
-formulation carries it (the affine potential ``bg`` or the vector ``h0``).
+field, constant rho and P, with the uniform field H0 carried by its
+background ``bg`` (the traditional system reads only H0 from it).
 ``scenarios.uniform_rest(...).state`` builds one; a hand-built state may
 use any ``BackgroundPotential``.  The grid is the state's own.  Two
 independent routes to the same answer:

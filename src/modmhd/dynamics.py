@@ -8,7 +8,7 @@ Modified system (state carries A, background M):
     drho/dt = -div(rho v)
     dP/dt   = -v.grad(P) - gamma P div(v)
 
-Traditional system (state carries H, uniform background h0):
+Traditional system (state carries H; of the background it reads only H0):
 
     dH/dt   = curl(v x H_total)
     dv/dt   = -(v.grad)v - grad(P)/rho + (curl H x H_total)/(4pi rho)
@@ -113,8 +113,8 @@ def _induction_and_force(state: SimState, params: PhysParams):
     if state.formulation is Formulation.MODIFIED:
         # one Jacobian of A gives curl A and the force; j is taken from curl A
         # before H0 joins it, as (x + H0) - (y + H0) is not bitwise x - y
-        da = ops._jacobian(state.a, g, o)
-        curl_a = ops._curl(da, np.empty(state.a.shape))
+        da = ops._jacobian(state.mag, g, o)
+        curl_a = ops._curl(da, np.empty(state.mag.shape))
         j = (1.0 / FOUR_PI) * ops.curl(curl_a, g, o)
         force = em._force(j, da, state.bg)
         del da
@@ -122,9 +122,9 @@ def _induction_and_force(state: SimState, params: PhysParams):
         h_tot += state.bg.uniform_field[:, None, None, None]
         dmag = ops.cross(state.v, h_tot)
     else:
-        h_tot = state.h + state.h0[:, None, None, None]
+        h_tot = state.mag + state.bg.uniform_field[:, None, None, None]
         dmag = ops.curl(ops.cross(state.v, h_tot), g, o)
-        force = ops.cross(ops.curl(state.h, g, o), h_tot) / FOUR_PI
+        force = ops.cross(ops.curl(state.mag, g, o), h_tot) / FOUR_PI
     return dmag, force
 
 
@@ -187,9 +187,9 @@ def enforce_gauge(state: SimState, params: PhysParams) -> tuple[SimState, float]
     if state.formulation is not Formulation.MODIFIED:
         raise ValueError("gauge enforcement applies to the modified formulation only")
     g = state.grid
-    drift = ops.l2_norm(ops.div(state.a, g, params.stencil_order), g)
-    a_proj, _ = helmholtz_project(state.a, g, params.stencil_order)
-    return replace(state, a=a_proj), drift
+    drift = ops.l2_norm(ops.div(state.mag, g, params.stencil_order), g)
+    a_proj, _ = helmholtz_project(state.mag, g, params.stencil_order)
+    return replace(state, mag=a_proj), drift
 
 
 def step_rk4(

@@ -41,7 +41,8 @@ class BackgroundPotential:
     The uniform field it carries is H0 = (M32-M23, M13-M31, M21-M12); only
     the antisymmetric part of M matters for H0, but the full M enters the
     advective force, so two gauges of the same H0 are physically distinct
-    under the modified force law.  The background is frozen in time.
+    under the modified force law.  The background is frozen in time.  Both
+    formulations' states carry one; the traditional system reads only H0.
     """
 
     matrix: np.ndarray

@@ -45,11 +45,9 @@ def _check_positive(**kw):
 
 
 def _mag_state(grid, formulation, v, rho, p, a, h, h0vec, t=0.0) -> SimState:
-    if formulation is Formulation.MODIFIED:
-        return SimState(grid, formulation, v, rho, p, t=t,
-                        a=a, bg=BackgroundPotential.from_uniform_field(h0vec))
-    return SimState(grid, formulation, v, rho, p, t=t,
-                    h=h, h0=np.asarray(h0vec, dtype=float))
+    mag = a if formulation is Formulation.MODIFIED else h
+    return SimState(grid, formulation, mag, v, rho, p,
+                    BackgroundPotential.from_uniform_field(h0vec), t)
 
 
 def uniform_rest(

@@ -13,10 +13,19 @@ Layout (all little-endian):
     per field:       16-byte zero-padded ASCII name,
                      then nx*ny*nz f64 values, x index fastest
 
-Field order is fixed: the magnetic unknown first (Ax Ay Az or
-Hx Hy Hz), then vx vy vz, rho, P.  Writes go to a temporary file in
-the target directory followed by an atomic rename, so a crash never
-leaves a half-written snapshot under the final name.
+Field order is fixed: the magnetic unknown ``mag`` first (Ax Ay Az or
+Hx Hy Hz), then vx vy vz, rho, P.
+
+For a traditional state the file keeps only H0 = ``bg.uniform_field``,
+all of the background that the traditional system reads, and the reader
+rebuilds the background as ``BackgroundPotential.from_uniform_field(H0)``.
+That round trip returns every normal or zero H0 component bit for bit,
+signed zeros included.  A subnormal one may come back changed: the
+symmetric gauge stores H0/2, which rounds in the subnormal range.
+
+Writes go to a temporary file in the target directory followed by an
+atomic rename, so a crash never leaves a half-written snapshot under the
+final name.
 """
 
 from __future__ import annotations
@@ -31,7 +40,7 @@ import numpy as np
 from . import electromagnetics as em
 from .grid import GridSpec
 from .params import Formulation
-from .state import SimState, finite_h0
+from .state import SimState
 
 MAGIC = b"MODMHD1\x00"
 VERSION = 1
@@ -71,7 +80,7 @@ def atomic_write(path, data: bytes) -> None:
 def write_snapshot(path, state: SimState) -> None:
     g = state.grid
     modified = state.formulation is Formulation.MODIFIED
-    background = state.bg.matrix if modified else state.h0
+    background = state.bg.matrix if modified else state.bg.uniform_field
     names = _field_names(state.formulation)
     parts = [_HEADER.pack(MAGIC, VERSION, g.nx, g.ny, g.nz,
                           g.lx, g.ly, g.lz, state.t, 0 if modified else 1),
@@ -124,7 +133,7 @@ def read_snapshot(path) -> SimState:
             raise ValueError(f"t must be finite, got {t}")
         values = np.frombuffer(rd.take(72 if modified else 24), dtype="<f8")
         background = (em.BackgroundPotential(values.reshape(3, 3)) if modified
-                      else finite_h0(values.copy()))
+                      else em.BackgroundPotential.from_uniform_field(values))
     except ValueError as exc:
         raise SnapshotError(f"impossible header value: {exc}") from None
 
@@ -144,7 +153,4 @@ def read_snapshot(path) -> SimState:
         raise SnapshotError(f"{len(rd.blob) - rd.pos} trailing bytes after fields")
 
     mag, v, (rho, p) = np.stack(scalars[:3]), np.stack(scalars[3:6]), scalars[6:]
-    common = dict(grid=grid, formulation=formulation, v=v, rho=rho, p=p, t=t)
-    if modified:
-        return SimState(**common, a=mag, bg=background)
-    return SimState(**common, h=mag, h0=background)
+    return SimState(grid, formulation, mag, v, rho, p, background, t)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -22,22 +22,20 @@ class StateInvalidError(RuntimeError):
         self.quantity = quantity
 
 
-def finite_h0(h0) -> np.ndarray:
-    """``h0`` as a float 3-vector; ValueError unless it is finite."""
-    h0 = np.asarray(h0, dtype=float).reshape(3)
-    if not np.isfinite(h0).all():
-        raise ValueError(f"h0 must be finite, got {h0}")
-    return h0
+def _field_names(formulation: Formulation) -> tuple[str, str, str, str]:
+    """Names of the evolved fields in ``SimState.fields`` order."""
+    return ("A" if formulation is Formulation.MODIFIED else "H", "v", "rho", "P")
 
 
 @dataclass
 class SimState:
     """Fluid + magnetic state on one grid at one time.
 
-    Modified formulation: ``a`` holds the periodic vector potential and
-    ``bg`` the affine background A0 = M x.  Traditional formulation: ``h``
-    holds the periodic magnetic field and ``h0`` a finite uniform
-    background vector.  rho and P must be strictly positive everywhere.
+    ``mag`` is the evolved magnetic unknown: the periodic vector potential
+    A (modified formulation) or the periodic field H (traditional).  ``bg``
+    is the frozen affine background A0 = M x in both formulations; the
+    traditional system reads only its uniform field H0.  rho and P must be
+    strictly positive everywhere.
 
     ``fields`` is the evolved tuple ``(mag, v, rho, p)``; ``with_fields``
     and ``dynamics.Rhs`` take the same order, so code that acts on every
@@ -46,37 +44,22 @@ class SimState:
 
     grid: GridSpec
     formulation: Formulation
+    mag: np.ndarray
     v: np.ndarray
     rho: np.ndarray
     p: np.ndarray
+    bg: em.BackgroundPotential = field(default_factory=em.BackgroundPotential.zero)
     t: float = 0.0
-    a: np.ndarray | None = None
-    bg: em.BackgroundPotential | None = None
-    h: np.ndarray | None = None
-    h0: np.ndarray | None = None
 
     def __post_init__(self):
+        if not isinstance(self.bg, em.BackgroundPotential):
+            raise TypeError("bg must be a BackgroundPotential, "
+                            f"got {type(self.bg).__name__}")
         g = self.grid
-        if self.formulation is Formulation.MODIFIED:
-            if self.a is None:
-                raise ValueError("modified state needs the periodic potential a")
-            if self.bg is None:
-                self.bg = em.BackgroundPotential.zero()
-            mag_name = "a"
-        else:
-            if self.h is None:
-                raise ValueError("traditional state needs the periodic field h")
-            self.h0 = finite_h0(np.zeros(3) if self.h0 is None else self.h0)
-            mag_name = "h"
-        for name, arr, shape in zip((mag_name, "v", "rho", "p"), self.fields,
+        for name, arr, shape in zip(_field_names(self.formulation), self.fields,
                                     (g.vshape, g.vshape, g.shape, g.shape)):
             if arr.shape != shape:
                 raise ValueError(f"{name}: expected shape {shape}, got {arr.shape}")
-
-    @property
-    def mag(self) -> np.ndarray:
-        """The evolved magnetic degree of freedom (a or h)."""
-        return self.a if self.formulation is Formulation.MODIFIED else self.h
 
     @property
     def fields(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -86,14 +69,12 @@ class SimState:
     def h_total(self, order: int = 2) -> np.ndarray:
         """Total magnetic field including the uniform background."""
         if self.formulation is Formulation.MODIFIED:
-            return em.h_from_a(self.a, self.bg, self.grid, order)
-        return self.h + self.h0[:, None, None, None]
+            return em.h_from_a(self.mag, self.bg, self.grid, order)
+        return self.mag + self.bg.uniform_field[:, None, None, None]
 
     def with_fields(self, mag: np.ndarray, v: np.ndarray, rho: np.ndarray,
                     p: np.ndarray, t: float) -> "SimState":
-        if self.formulation is Formulation.MODIFIED:
-            return replace(self, a=mag, v=v, rho=rho, p=p, t=t)
-        return replace(self, h=mag, v=v, rho=rho, p=p, t=t)
+        return replace(self, mag=mag, v=v, rho=rho, p=p, t=t)
 
     def copy(self) -> "SimState":
         return self.with_fields(*(f.copy() for f in self.fields), self.t)
@@ -101,8 +82,7 @@ class SimState:
 
 def validate_state(state: SimState) -> None:
     """Raise StateInvalidError naming the first offending quantity."""
-    mag_name = "A" if state.formulation is Formulation.MODIFIED else "H"
-    for name, arr in zip((mag_name, "v", "rho", "P"), state.fields):
+    for name, arr in zip(_field_names(state.formulation), state.fields):
         if not np.isfinite(arr).all():
             raise StateInvalidError(name, f"{name} contains non-finite values")
     if not (state.rho > 0.0).all():

@@ -80,7 +80,7 @@ def test_criterion_3_alfven_wave_speed_and_return():
     samples = []
 
     def capture(state, step):
-        coef = np.sum(state.h[1] * np.exp(-1j * x))
+        coef = np.sum(state.mag[1] * np.exp(-1j * x))
         samples.append((state.t, np.angle(coef)))
 
     final, _ = run(case.state, params, period, out_every=10 ** 9,
@@ -153,10 +153,10 @@ def test_criterion_5_conservation_and_gauge_control():
     st_off = random_solenoidal(grid, Formulation.MODIFIED).state
     for i in range(10):
         st_off, _ = step_rk4(st_off, cfl_dt(st_off, p_off), p_off, step_index=i)
-    h_before = ops.curl(st_off.a, grid, 2)
+    h_before = ops.curl(st_off.mag, grid, 2)
     projected, drift = enforce_gauge(st_off, params)
     assert drift > 0.0
-    h_change = ops.l2_norm(ops.curl(projected.a, grid, 2) - h_before, grid)
+    h_change = ops.l2_norm(ops.curl(projected.mag, grid, 2) - h_before, grid)
     assert h_change <= 1e-12 * ops.l2_norm(h_before, grid)
 
     # traditional twin: solenoidal H stays solenoidal, energy stays put

@@ -145,9 +145,9 @@ def test_speeds_are_omega_over_ktilde():
 
 def _rest_modified(g, matrix, rho0=1.0, p0=0.6):
     """Hand-built modified rest state with an arbitrary background matrix."""
-    return SimState(g, Formulation.MODIFIED, np.zeros(g.vshape),
+    return SimState(g, Formulation.MODIFIED, np.zeros(g.vshape), np.zeros(g.vshape),
                     np.full(g.shape, rho0), np.full(g.shape, p0),
-                    a=np.zeros(g.vshape), bg=BackgroundPotential(matrix))
+                    BackgroundPotential(matrix))
 
 
 def test_modified_spectrum_depends_on_background_gauge():

@@ -14,6 +14,7 @@ import pytest
 import modmhd.dynamics as dynamics
 import modmhd.operators as ops
 from modmhd import (
+    BackgroundPotential,
     Formulation,
     GaugePolicy,
     GridSpec,
@@ -48,38 +49,52 @@ def _rest_state(g, formulation=Formulation.MODIFIED, rho0=1.0, p0=1.0):
 
 # -- SimState and validation ---------------------------------------------------
 
-def test_state_requires_matching_magnetic_field():
-    g = cube(8)
-    kw = dict(grid=g, formulation=Formulation.MODIFIED,
-              v=np.zeros(g.vshape), rho=np.ones(g.shape), p=np.ones(g.shape))
-    with pytest.raises(ValueError, match="potential"):
-        SimState(**kw)
-    kw["formulation"] = Formulation.TRADITIONAL
-    with pytest.raises(ValueError, match="field h"):
-        SimState(**kw)
+def _rest_fields(g):
+    return dict(mag=np.zeros(g.vshape), v=np.zeros(g.vshape),
+                rho=np.ones(g.shape), p=np.ones(g.shape))
+
+
+@pytest.mark.parametrize("formulation", list(Formulation))
+def test_state_defaults_to_zero_background(formulation):
+    st = SimState(cube(8), formulation, **_rest_fields(cube(8)))
+    assert st.bg == BackgroundPotential.zero()
+    assert st.t == 0.0
+
+
+@pytest.mark.parametrize("formulation", list(Formulation))
+@pytest.mark.parametrize("extra", [
+    dict(a=np.zeros((3, 8, 8, 8))),
+    dict(h=np.zeros((3, 8, 8, 8))),
+    dict(h0=(1.0, 0.0, 0.0)),
+    dict(bg=(1.0, 0.0, 0.0)),
+], ids=["a", "h", "h0", "bg_tuple"])
+def test_state_refuses_contradictory_input(formulation, extra):
+    # a state holds one magnetic unknown and one BackgroundPotential; the
+    # old per-formulation slots, or a bare H0 vector as the background,
+    # would otherwise be dropped or read as H0 = 0 without a word
+    with pytest.raises(TypeError):
+        SimState(cube(8), formulation, **_rest_fields(cube(8)), **extra)
 
 
 @pytest.mark.parametrize("h0", [(np.nan, 0.0, 0.0), (0.0, np.inf, 0.0)],
                          ids=["nan", "inf"])
 def test_state_refuses_non_finite_background_field(h0):
     g = cube(8)
-    with pytest.raises(ValueError, match="h0 must be finite"):
-        SimState(g, Formulation.TRADITIONAL, np.zeros(g.vshape), np.ones(g.shape),
-                 np.ones(g.shape), h=np.zeros(g.vshape), h0=h0)
+    with pytest.raises(ValueError, match="background matrix must be a finite"):
+        SimState(g, Formulation.TRADITIONAL, **_rest_fields(g),
+                 bg=BackgroundPotential.from_uniform_field(h0))
 
 
 @pytest.mark.parametrize("formulation,name", [
-    (f, name) for f in Formulation
-    for name in ("a" if f is Formulation.MODIFIED else "h", "v", "rho", "p")
+    (f, name) for f in Formulation for name in ("mag", "v", "rho", "p")
 ])
 def test_state_shape_checks(formulation, name):
     g = cube(8)
-    mag = "a" if formulation is Formulation.MODIFIED else "h"
-    fields = {mag: np.zeros(g.vshape), "v": np.zeros(g.vshape),
-              "rho": np.ones(g.shape), "p": np.ones(g.shape)}
+    fields = _rest_fields(g)
     # a vector where a scalar belongs, or the other way round
     fields[name] = np.ones(g.shape if fields[name].ndim == 4 else g.vshape)
-    with pytest.raises(ValueError, match=f"^{name}: expected shape"):
+    shown = {"mag": "A" if formulation is Formulation.MODIFIED else "H", "p": "P"}
+    with pytest.raises(ValueError, match=f"^{shown.get(name, name)}: expected shape"):
         SimState(grid=g, formulation=formulation, **fields)
 
 
@@ -136,7 +151,7 @@ def test_modified_rhs_zero_velocity_force_free_potential():
     g = cube(16)
     x, _, _ = g.meshes()
     st = SimState(grid=g, formulation=Formulation.MODIFIED,
-                  a=full_vector(g, (0.0, np.sin(x), 0.0)),
+                  mag=full_vector(g, (0.0, np.sin(x), 0.0)),
                   v=np.zeros(g.vshape), rho=np.ones(g.shape), p=np.ones(g.shape))
     rhs = compute_rhs(st, PhysParams())
     assert ops.max_norm(rhs.mag) == 0.0
@@ -153,9 +168,9 @@ def test_rhs_modified_matches_public_assembly_bitwise(order):
     st = random_solenoidal(g, Formulation.MODIFIED, b0=0.7, amplitude=0.3,
                            seed=4, order=order).state
     params = PhysParams(stencil_order=order)
-    h_tot = h_from_a(st.a, st.bg, g, order)
-    j = current_from_a(st.a, g, order)
-    force = force_modified(j, st.a, st.bg, g, order)
+    h_tot = h_from_a(st.mag, st.bg, g, order)
+    j = current_from_a(st.mag, g, order)
+    force = force_modified(j, st.mag, st.bg, g, order)
     dv = -ops.advect(st.v, st.v, g, order)
     dv -= ops.grad(st.p, g, order) / st.rho
     dv += force / st.rho
@@ -166,7 +181,7 @@ def test_rhs_modified_matches_public_assembly_bitwise(order):
 
 @pytest.mark.parametrize("order", [2, 4])
 def test_fluid_rhs_is_shared_without_magnetic_field(order):
-    # with A = 0 and a zero background, or H = 0 and h0 = 0, the two systems
+    # with A = 0 or H = 0 and a zero background, the two systems
     # reduce to the same compressible Euler equations, bitwise
     g = GridSpec(12, 10, 9, 1.0, 2.5, 7.0)
     rng = np.random.default_rng(11)
@@ -174,10 +189,10 @@ def test_fluid_rhs_is_shared_without_magnetic_field(order):
     rho = 1.0 + 0.3 * rng.random(g.shape)
     p = 1.0 + 0.3 * rng.random(g.shape)
     params = PhysParams(stencil_order=order)
-    mod = compute_rhs(SimState(g, Formulation.MODIFIED, v, rho, p,
-                               a=np.zeros(g.vshape)), params)
-    trad = compute_rhs(SimState(g, Formulation.TRADITIONAL, v, rho, p,
-                                h=np.zeros(g.vshape), h0=np.zeros(3)), params)
+    mod = compute_rhs(SimState(g, Formulation.MODIFIED, np.zeros(g.vshape),
+                               v, rho, p), params)
+    trad = compute_rhs(SimState(g, Formulation.TRADITIONAL, np.zeros(g.vshape),
+                                v, rho, p), params)
     assert ops.max_norm(mod.v) > 0.0
     for name in ("v", "rho", "p"):
         assert np.array_equal(getattr(mod, name), getattr(trad, name)), name
@@ -209,7 +224,7 @@ def test_continuity_against_analytic_gradient():
     g = cube(32)
     x, _, _ = g.meshes()
     u0, eps = 0.7, 0.01
-    st = SimState(grid=g, formulation=Formulation.MODIFIED, a=np.zeros(g.vshape),
+    st = SimState(grid=g, formulation=Formulation.MODIFIED, mag=np.zeros(g.vshape),
                   v=full_vector(g, (u0, 0.0, 0.0)),
                   rho=1.0 + eps * np.sin(x) + np.zeros(g.shape),
                   p=np.ones(g.shape))
@@ -444,7 +459,7 @@ def test_enforce_gauge_removes_injected_gradient():
                            st.v, st.rho, st.p, 0.0)
     clean, drift = enforce_gauge(dirty, PhysParams())
     assert drift > 0.1   # the injected gradient is macroscopic
-    assert ops.l2_norm(ops.div(clean.a, g), g) < 1e-9
+    assert ops.l2_norm(ops.div(clean.mag, g), g) < 1e-9
     h_after = clean.h_total()
     assert ops.max_norm(h_after - h_before) < 1e-12
 
@@ -457,7 +472,7 @@ def test_enforce_gauge_noop_on_solenoidal():
     st = st.with_fields(a, st.v, st.rho, st.p, 0.0)
     out, drift = enforce_gauge(st, PhysParams())
     assert drift < 1e-12
-    assert np.array_equal(out.a, a)
+    assert np.array_equal(out.mag, a)
 
 
 def test_enforce_gauge_traditional_rejected():

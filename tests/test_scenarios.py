@@ -80,8 +80,7 @@ def test_alfven_zero_amplitude_is_uniform_rest():
     g = cube(8)
     case = alfven_wave(g, Formulation.TRADITIONAL, delta=0.0)
     rest = uniform_rest(g, Formulation.TRADITIONAL, p0=0.6, b0x=1.0)
-    assert np.array_equal(case.state.h + case.state.h0[:, None, None, None],
-                          rest.state.h + rest.state.h0[:, None, None, None])
+    assert np.array_equal(case.state.h_total(), rest.state.h_total())
     assert np.all(case.state.v == 0.0)
 
 
@@ -93,8 +92,8 @@ def test_alfven_potential_encodes_target_field():
         g = slab(n)
         case = alfven_wave(g, Formulation.MODIFIED, delta=1e-3)
         target = alfven_wave(g, Formulation.TRADITIONAL, delta=1e-3).state
-        h = h_from_a(case.state.a, case.state.bg, g)
-        h_want = target.h + target.h0[:, None, None, None]
+        h = h_from_a(case.state.mag, case.state.bg, g)
+        h_want = target.h_total()
         errs.append(ops.max_norm(h - h_want))
         spacings.append(g.hx)
     assert fit_order(spacings, errs) == pytest.approx(2.0, abs=0.2)
@@ -111,7 +110,7 @@ def test_alfven_exact_solution_translates():
     case = alfven_wave(g, Formulation.TRADITIONAL, delta=1e-3)
     va = 1.0 / np.sqrt(4.0 * np.pi)
     later = case.exact(g, TWO_PI / va)   # one period
-    assert ops.max_norm(later.h - case.state.h) < 1e-12
+    assert ops.max_norm(later.mag - case.state.mag) < 1e-12
     assert np.array_equal(later.rho, case.state.rho)
 
 
@@ -172,32 +171,32 @@ def test_random_solenoidal_deterministic():
     g = cube(16)
     a = random_solenoidal(g, seed=123).state
     b = random_solenoidal(g, seed=123).state
-    assert np.array_equal(a.a, b.a)
+    assert np.array_equal(a.mag, b.mag)
     assert np.array_equal(a.v, b.v)
     c = random_solenoidal(g, seed=124).state
-    assert not np.array_equal(a.a, c.a)
+    assert not np.array_equal(a.mag, c.mag)
 
 
 def test_random_solenoidal_divergence_free():
     g = cube(16)
     st = random_solenoidal(g, amplitude=0.1).state
-    scale = ops.l2_norm(st.a, g)
-    assert ops.l2_norm(ops.div(st.a, g), g) <= 1e-10 * scale
+    scale = ops.l2_norm(st.mag, g)
+    assert ops.l2_norm(ops.div(st.mag, g), g) <= 1e-10 * scale
 
 
 def test_random_solenoidal_negative_amplitude_is_projected():
     # the sign flips every coefficient; A must still be divergence-free
     g = cube(16)
     st = random_solenoidal(g, amplitude=-0.05).state
-    scale = ops.l2_norm(st.a, g)
-    assert ops.l2_norm(ops.div(st.a, g), g) <= 1e-10 * scale
+    scale = ops.l2_norm(st.mag, g)
+    assert ops.l2_norm(ops.div(st.mag, g), g) <= 1e-10 * scale
 
 
 def test_random_solenoidal_zero_amplitude():
     g = cube(8)
     st = random_solenoidal(g, amplitude=0.0, b0=0.25).state
     rest = uniform_rest(g, Formulation.MODIFIED, b0x=0.25).state
-    assert np.array_equal(st.a, rest.a)
+    assert np.array_equal(st.mag, rest.mag)
     assert np.array_equal(st.v, rest.v)
 
 
@@ -238,7 +237,7 @@ def test_random_solenoidal_matches_mode_loop(grid):
     a_ref, v_ref = _reference_random_fields(grid, 0.05, 2, seed=11)
     st = random_solenoidal(grid, amplitude=0.05, k_max=2, seed=11).state
     a_want, _ = helmholtz_project(a_ref, grid, 2)
-    for got, want in ((st.v, v_ref), (st.a, a_want)):
+    for got, want in ((st.v, v_ref), (st.mag, a_want)):
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
@@ -264,8 +263,7 @@ def test_scenarios_are_band_limited_on_any_box():
 def test_random_solenoidal_traditional_variant():
     g = cube(16)
     st = random_solenoidal(g, Formulation.TRADITIONAL).state
-    assert st.h is not None
-    assert ops.max_norm(ops.div(st.h, g)) < 1e-12   # curl of the potential
+    assert ops.max_norm(ops.div(st.mag, g)) < 1e-12   # curl of the potential
 
 
 # -- Orszag-Tang-like vortex ---------------------------------------------------------
@@ -273,7 +271,7 @@ def test_random_solenoidal_traditional_variant():
 def test_orszag_tang_two_dimensional():
     g = cube(16)
     st = orszag_tang_like(g).state
-    for arr in (st.a, st.v):
+    for arr in (st.mag, st.v):
         assert np.all(arr == arr[..., :1])   # constant along z
     assert np.all(st.rho == st.rho[..., :1])
 
@@ -283,8 +281,8 @@ def test_orszag_tang_field_matches_potential():
     for n in (16, 32):
         g = cube(n)
         st = orszag_tang_like(g, formulation=Formulation.TRADITIONAL).state
-        a = orszag_tang_like(g, formulation=Formulation.MODIFIED).state.a
-        errs.append(ops.max_norm(ops.curl(a, g) - st.h))
+        a = orszag_tang_like(g, formulation=Formulation.MODIFIED).state.mag
+        errs.append(ops.max_norm(ops.curl(a, g) - st.mag))
         spacings.append(g.hx)
     assert fit_order(spacings, errs) == pytest.approx(2.0, abs=0.3)
 
@@ -297,13 +295,13 @@ def test_orszag_tang_on_2pi_box_is_unchanged():
     a0, v0 = 0.2, 0.3
     a = orszag_tang_like(g, Formulation.MODIFIED, a0=a0, v0=v0).state
     h = orszag_tang_like(g, Formulation.TRADITIONAL, a0=a0, v0=v0).state
-    assert np.array_equal(a.a[2], np.broadcast_to(
+    assert np.array_equal(a.mag[2], np.broadcast_to(
         a0 * (np.cos(2.0 * y) / 2.0 + np.cos(x)), g.shape))
-    assert np.array_equal(h.h[0], np.broadcast_to(-a0 * np.sin(2.0 * y), g.shape))
-    assert np.array_equal(h.h[1], np.broadcast_to(a0 * np.sin(x), g.shape))
+    assert np.array_equal(h.mag[0], np.broadcast_to(-a0 * np.sin(2.0 * y), g.shape))
+    assert np.array_equal(h.mag[1], np.broadcast_to(a0 * np.sin(x), g.shape))
     assert np.array_equal(a.v[0], np.broadcast_to(-v0 * np.sin(y), g.shape))
     assert np.array_equal(a.v[1], np.broadcast_to(v0 * np.sin(x), g.shape))
-    assert not a.a[:2].any() and not h.h[2].any() and not a.v[2].any()
+    assert not a.mag[:2].any() and not h.mag[2].any() and not a.v[2].any()
 
 
 def test_orszag_tang_mass():
@@ -419,6 +417,16 @@ def test_scenario_defaults_cover_all_builders():
         assert case.state.grid == g
 
 
+@pytest.mark.parametrize("name", sorted(SCENARIO_DEFAULTS))
+def test_both_formulations_share_one_background(name):
+    # paired runs compare the two systems about one background; the b0 keys
+    # are set off zero so that a dropped field would show
+    params = {key: 0.7 for key in SCENARIO_DEFAULTS[name] if key.startswith("b0")}
+    mod, trad = (build_scenario(name, cube(8), form, params).state
+                 for form in (Formulation.MODIFIED, Formulation.TRADITIONAL))
+    assert mod.bg == trad.bg
+
+
 def test_build_scenario_coerces_parameter_types():
     g = cube(8)
     case = build_scenario("alfven_wave", g, Formulation.TRADITIONAL,
@@ -464,7 +472,7 @@ def test_build_scenario_passes_the_run_settings_its_builder_takes():
     built = build_scenario("random_solenoidal", g, Formulation.MODIFIED, {},
                            seed=3, order=4).state
     direct = random_solenoidal(g, seed=3, order=4).state
-    assert np.array_equal(built.a, direct.a)
+    assert np.array_equal(built.mag, direct.mag)
 
 
 # -- registry -------------------------------------------------------------------

@@ -7,7 +7,8 @@ import struct
 import numpy as np
 import pytest
 
-from modmhd import Formulation, SnapshotError, read_snapshot, write_snapshot
+from modmhd import (BackgroundPotential, Formulation, SnapshotError, read_snapshot,
+                    write_snapshot)
 from modmhd.snapshot import MAGIC
 
 from conftest import cube, slab
@@ -37,10 +38,9 @@ def test_round_trip_is_bitwise(tmp_path, formulation):
     assert np.array_equal(back.v, st.v)
     assert np.array_equal(back.rho, st.rho)
     assert np.array_equal(back.p, st.p)
-    if formulation is Formulation.MODIFIED:
-        assert np.array_equal(back.bg.matrix, st.bg.matrix)
-    else:
-        assert np.array_equal(back.h0, st.h0)
+    # scenarios carry the symmetric gauge, which is what a traditional
+    # file's H0 reads back as
+    assert back.bg == st.bg
 
 
 def test_write_then_rewrite_same_bytes(tmp_path):
@@ -97,7 +97,8 @@ _MOD, _TRAD = Formulation.MODIFIED, Formulation.TRADITIONAL
      "impossible header value: nx must be >= 4, got 0"),
     (_MOD, _LX_AT, _NAN,
      "impossible header value: lx must be positive and finite, got nan"),
-    (_TRAD, _BACKGROUND_AT, _NAN, "impossible header value: h0 must be finite"),
+    (_TRAD, _BACKGROUND_AT, _NAN,
+     "impossible header value: background matrix must be a finite 3x3 matrix"),
     (_MOD, _T_AT, _NAN, "impossible header value: t must be finite, got nan"),
 ], ids=["formulation", "count", "name", "nx0", "lx_nan", "h0_nan", "t_nan"])
 def test_corrupt_header_rejected(tmp_path, formulation, offset, patch, message):
@@ -108,6 +109,30 @@ def test_corrupt_header_rejected(tmp_path, formulation, offset, patch, message):
     path.write_bytes(bytes(blob))
     with pytest.raises(SnapshotError, match=re.escape(message)):
         read_snapshot(path)
+
+
+def test_traditional_background_reads_back_bitwise(tmp_path):
+    # a v1 traditional file stores H0 only; mixed signs and a -0.0 survive
+    # the symmetric gauge it is read back into, and rewrite to the same bytes
+    stored = struct.pack("<3d", 0.3, -0.0, -0.9)
+    path = tmp_path / "snap.bin"
+    write_snapshot(path, _sample_state(_TRAD))
+    blob = bytearray(path.read_bytes())
+    blob[_BACKGROUND_AT:_BACKGROUND_AT + 24] = stored
+    path.write_bytes(bytes(blob))
+    back = read_snapshot(path)
+    assert back.bg.uniform_field.astype("<f8").tobytes() == stored
+    write_snapshot(tmp_path / "again.bin", back)
+    assert (tmp_path / "again.bin").read_bytes() == bytes(blob)
+
+
+@pytest.mark.parametrize("h0", [(0.3, -0.2, 0.9), (-0.0, 0.0, -0.0),
+                                (1.7e308, -1.7e308, 0.0)],
+                         ids=["mixed", "signed_zeros", "near_max"])
+def test_uniform_field_survives_the_symmetric_gauge(h0):
+    want = np.array(h0)
+    got = BackgroundPotential.from_uniform_field(want).uniform_field
+    assert got.tobytes() == want.tobytes()
 
 
 def test_truncated_file(tmp_path):
@@ -149,10 +174,11 @@ def _documented_v1_bytes(st):
     blob += struct.pack("<4d", g.lx, g.ly, g.lz, st.t)
     if modified:
         blob += struct.pack("<B", 0) + struct.pack("<9d", *st.bg.matrix.ravel())
-        named = (("Ax", st.a[0]), ("Ay", st.a[1]), ("Az", st.a[2]))
+        mag = "A"
     else:
-        blob += struct.pack("<B", 1) + struct.pack("<3d", *st.h0)
-        named = (("Hx", st.h[0]), ("Hy", st.h[1]), ("Hz", st.h[2]))
+        blob += struct.pack("<B", 1) + struct.pack("<3d", *st.bg.uniform_field)
+        mag = "H"
+    named = tuple((mag + axis, st.mag[i]) for i, axis in enumerate("xyz"))
     named += (("vx", st.v[0]), ("vy", st.v[1]), ("vz", st.v[2]),
               ("rho", st.rho), ("P", st.p))
     blob += struct.pack("<I", 8)
