@@ -14,10 +14,15 @@ independent routes to the same answer:
   (8 sin(k h) - sin(2 k h))/(6 h) (order 4), so the oracle is exact for
   the discrete operators, not just the continuum limit.
 
-* ``dispersion`` -- a numerical Jacobian of the actual nonlinear RHS,
-  assembled by perturbing the rest state with cos/sin modes and
-  projecting the response back onto them (16x16 real matrix: 8 field
-  components x {cos, sin}).
+* ``dispersion`` -- a 16x16 numerical Jacobian of the actual nonlinear
+  RHS: column 2c + j is the response to a nudge of scalar component c
+  along basis[j], projected back by ``mode_coefficients``.
+
+A lattice mode has integer mode numbers |m_i| < n_i/2 on every axis; its
+basis (cos k.x, sin k.x) is orthogonal on the grid, with sum cos^2 =
+sum sin^2 = N/2.  ``mode_coefficients`` projects the eight scalar
+components f_c (mag x y z, v x y z, rho, P) onto it: entry 2c + j is
+(2/N) sum f_c basis[j], component c's coefficient of basis[j].
 
 Frequencies follow the exp(-i omega t) convention: omega = i * lambda
 for eigenvalues lambda of the mode matrix.
@@ -39,7 +44,7 @@ from .electromagnetics import FOUR_PI
 from .grid import GridSpec
 from .operators import modified_wavenumber
 from .params import Formulation, PhysParams
-from .state import SimState
+from .state import SimState, scalar_components
 
 #: Central-difference step of the Jacobian, relative to each component's
 #: scale; the result is re-measured at _EPS / 10 to report its sensitivity.
@@ -53,12 +58,17 @@ def _skew(u: np.ndarray) -> np.ndarray:
 
 
 def wavevector_from_modes(modes, grid: GridSpec) -> np.ndarray:
-    """Physical wavevector for integer mode numbers (waves per box edge)."""
+    """Physical wavevector for integer mode numbers (waves per box edge),
+    each resolved by its axis: |m_i| < n_i/2 (no alias, no Nyquist mode)."""
     m = np.asarray(modes)
     if m.shape != (3,) or not np.all(m == np.round(m)):
         raise ValueError("modes must be three integers")
     if np.all(m == 0):
         raise ValueError("at least one mode number must be nonzero")
+    for axis, mi, n in zip("xyz", m, grid.shape):
+        if not 2 * abs(mi) < n:
+            raise ValueError(f"mode number m{axis} = {int(mi)} is not resolved by "
+                             f"n{axis} = {n} points: need |m{axis}| < {n / 2:g}")
     lengths = np.array([grid.lx, grid.ly, grid.lz])
     return 2.0 * np.pi * m.astype(float) / lengths
 
@@ -140,16 +150,15 @@ class DispersionResult:
         return np.unique(np.round(np.abs(self.omega.real) / kmag, 10))
 
 
-def _mode_fields(kvec, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    x, y, z = grid.meshes()
-    phase = kvec[0] * x + kvec[1] * y + kvec[2] * z
-    cosf, sinf = np.cos(phase), np.sin(phase)
-    n = grid.npoints
-    # Lattice modes satisfy sum cos^2 = sum sin^2 = N/2 exactly; anything
-    # else (k=0, pure Nyquist, off-lattice k) breaks the projection.
-    if abs(np.sum(sinf * sinf) - 0.5 * n) > 1e-6 * n or abs(np.sum(cosf * sinf)) > 1e-6 * n:
-        raise ValueError("kvec must be a nonzero, non-degenerate lattice wavevector")
-    return cosf, sinf
+def mode_coefficients(fields, basis) -> np.ndarray:
+    """The module docstring's projection of ``fields`` (any tuple in
+    ``SimState.fields`` order) onto ``basis`` = (cos k.x, sin k.x)."""
+    components = scalar_components(fields)
+    out = np.empty(2 * len(components))
+    for c, f in enumerate(components):
+        for j, trig in enumerate(basis):
+            out[2 * c + j] = np.sum(f * trig) * (2.0 / f.size)
+    return out
 
 
 def _amplitudes(background: SimState, kvec, params: PhysParams) -> np.ndarray:
@@ -166,42 +175,21 @@ def _amplitudes(background: SimState, kvec, params: PhysParams) -> np.ndarray:
     return np.array([mag_scale] * 3 + [speed] * 3 + [rho0, p0])
 
 
-def _jacobian_at(
-    base: SimState,
-    params: PhysParams,
-    cosf: np.ndarray,
-    sinf: np.ndarray,
-    amps: np.ndarray,
-    eps: float,
-) -> np.ndarray:
-    """Central-difference Jacobian in the 16-dimensional cos/sin mode basis."""
-    n = base.grid.npoints
-    trigs = (cosf, sinf)
-
-    def components(fields) -> list[np.ndarray]:
-        """The eight scalar components (mag_x..z, v_x..z, rho, P) as views."""
-        mag, v, rho, p = fields
-        return [*mag, *v, rho, p]
-
-    def perturbed(comp: int, trig: np.ndarray, sign: float) -> SimState:
-        fields = [f.copy() for f in base.fields]
-        components(fields)[comp] += sign * eps * amps[comp] * trig
-        return base.with_fields(*fields, base.t)
-
-    def extract(fields) -> np.ndarray:
-        out = np.empty(16)
-        for i, f in enumerate(components(fields)):
-            for ph, trig in enumerate(trigs):
-                out[2 * i + ph] = np.sum(f * trig) * (2.0 / n) / amps[i]
-        return out
-
+def _jacobian_at(base: SimState, params: PhysParams, basis, amps: np.ndarray,
+                 eps: float) -> np.ndarray:
+    """Central-difference Jacobian in the 16-dimensional cos/sin mode basis,
+    scaled by the component amplitudes ``amps``."""
+    scale = np.repeat(amps, 2)
     jac = np.empty((16, 16))
     for comp in range(8):
-        for ph, trig in enumerate(trigs):
-            plus = compute_rhs(perturbed(comp, trig, +1.0), params)
-            minus = compute_rhs(perturbed(comp, trig, -1.0), params)
-            diff = [a - b for a, b in zip(plus, minus)]
-            jac[:, 2 * comp + ph] = extract(diff) / (2.0 * eps)
+        for j, trig in enumerate(basis):
+            rhs = []
+            for sign in (1.0, -1.0):
+                fields = [f.copy() for f in base.fields]
+                scalar_components(fields)[comp] += sign * eps * amps[comp] * trig
+                rhs.append(compute_rhs(base.with_fields(*fields, base.t), params))
+            diff = [a - b for a, b in zip(*rhs)]
+            jac[:, 2 * comp + j] = mode_coefficients(diff, basis) / scale / (2.0 * eps)
     return jac
 
 
@@ -211,20 +199,21 @@ def dispersion(background: SimState, modes, params: PhysParams) -> DispersionRes
     ``background`` is a uniform rest state (v = 0, zero periodic field,
     constant rho and P), e.g. ``uniform_rest(...).state``; its grid is the
     one the spectrum is measured on, and it is not modified.  Needs no
-    knowledge of the equations beyond calling the RHS: the state is
-    nudged along each cos/sin mode of each of the eight field components,
-    the response is projected back onto those modes, and the eigenvalues
-    of the resulting real matrix give the spectrum.  A grid too small for
-    the stencil order raises ValueError.
+    knowledge of the equations beyond calling the RHS: the eigenvalues of
+    the Jacobian in the ``mode_coefficients`` basis give the spectrum.  A
+    grid too small for the stencil order, or a mode number it does not
+    resolve, raises ValueError.
     """
     grid = background.grid
     grid.require_order(params.stencil_order)
     kvec = wavevector_from_modes(modes, grid)
-    cosf, sinf = _mode_fields(kvec, grid)
+    x, y, z = grid.meshes()
+    phase = kvec[0] * x + kvec[1] * y + kvec[2] * z
+    basis = (np.cos(phase), np.sin(phase))
     amps = _amplitudes(background, kvec, params)
 
-    jac = _jacobian_at(background, params, cosf, sinf, amps, _EPS)
-    jac_check = _jacobian_at(background, params, cosf, sinf, amps, _EPS / 10.0)
+    jac = _jacobian_at(background, params, basis, amps, _EPS)
+    jac_check = _jacobian_at(background, params, basis, amps, _EPS / 10.0)
     scale = np.linalg.norm(jac)
     sens = np.linalg.norm(jac - jac_check) / scale if scale > 0.0 else 0.0
 

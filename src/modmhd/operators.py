@@ -87,7 +87,7 @@ def modified_wavenumber(k, spacing: float, order: int = 2):
         return np.sin(kh) / spacing
     if order == 4:
         return (8.0 * np.sin(kh) - np.sin(2.0 * kh)) / (6.0 * spacing)
-    raise ValueError(f"unsupported stencil order {order}")
+    raise ValueError(f"stencil order must be {STENCIL_ORDERS_TEXT}, got {order}")
 
 
 def _d2(f: np.ndarray, axis: int, h: float, order: int) -> np.ndarray:

@@ -44,8 +44,7 @@ def _check_positive(**kw):
             raise ValueError(f"{name} must be positive, got {value}")
 
 
-def _mag_state(grid, formulation, v, rho, p, a, h, h0vec, t=0.0) -> SimState:
-    mag = a if formulation is Formulation.MODIFIED else h
+def _mag_state(grid, formulation, mag, v, rho, p, h0vec, t=0.0) -> SimState:
     return SimState(grid, formulation, mag, v, rho, p,
                     BackgroundPotential.from_uniform_field(h0vec), t)
 
@@ -64,9 +63,8 @@ def uniform_rest(
 
     def make(g: GridSpec, t: float) -> SimState:
         return _mag_state(
-            g, formulation, np.zeros(g.vshape),
-            np.full(g.shape, rho0), np.full(g.shape, p0),
-            np.zeros(g.vshape), np.zeros(g.vshape), (b0x, b0y, b0z), t=t,
+            g, formulation, np.zeros(g.vshape), np.zeros(g.vshape),
+            np.full(g.shape, rho0), np.full(g.shape, p0), (b0x, b0y, b0z), t=t,
         )
 
     return CaseSetup(state=make(grid, 0.0), exact=make)
@@ -108,13 +106,15 @@ def alfven_wave(
         hp = np.zeros(g.vshape)
         hp[1] = delta * b0 * np.cos(theta)
         hp[2] = delta * b0 * np.sin(theta)
-        ap = np.zeros(g.vshape)
-        ap[1] = -(delta * b0 / k) * np.cos(theta)
-        ap[2] = -(delta * b0 / k) * np.sin(theta)
         v = -hp / math.sqrt(FOUR_PI * rho0)
+        mag = hp
+        if formulation is Formulation.MODIFIED:
+            mag = np.zeros(g.vshape)
+            mag[1] = -(delta * b0 / k) * np.cos(theta)
+            mag[2] = -(delta * b0 / k) * np.sin(theta)
         return _mag_state(
-            g, formulation, v, np.full(g.shape, rho0), np.full(g.shape, p0),
-            ap, hp, (b0, 0.0, 0.0), t=t,
+            g, formulation, mag, v, np.full(g.shape, rho0), np.full(g.shape, p0),
+            (b0, 0.0, 0.0), t=t,
         )
 
     exact = make if formulation is Formulation.TRADITIONAL else None
@@ -149,8 +149,8 @@ def sound_wave(
         v = np.zeros(g.vshape)
         v[0] = c_s * delta * s
         return _mag_state(
-            g, formulation, v, rho0 * (1.0 + delta * s), p0 * (1.0 + gamma * delta * s),
-            np.zeros(g.vshape), np.zeros(g.vshape), (0.0, 0.0, 0.0), t=t,
+            g, formulation, np.zeros(g.vshape), v, rho0 * (1.0 + delta * s),
+            p0 * (1.0 + gamma * delta * s), (0.0, 0.0, 0.0), t=t,
         )
 
     return CaseSetup(state=make(grid, 0.0), exact=make)
@@ -219,11 +219,11 @@ def random_solenoidal(
     a = draw_field()
     v = draw_field()
     a, _ = helmholtz_project(a, grid, order)
-    h = ops.curl(a, grid, order) if formulation is Formulation.TRADITIONAL else None
+    mag = ops.curl(a, grid, order) if formulation is Formulation.TRADITIONAL else a
 
     state = _mag_state(
-        grid, formulation, v, np.full(grid.shape, rho0), np.full(grid.shape, p0),
-        a, h, (b0, 0.0, 0.0),
+        grid, formulation, mag, v, np.full(grid.shape, rho0), np.full(grid.shape, p0),
+        (b0, 0.0, 0.0),
     )
     return CaseSetup(state=state)
 
@@ -246,19 +246,20 @@ def orszag_tang_like(
     _check_positive(rho0=rho0, p0=p0)
     x, y, _ = grid.meshes()
     kx, ky = 2.0 * math.pi / grid.lx, 2.0 * math.pi / grid.ly
-    a = np.zeros(grid.vshape)
-    a[2] = a0 * (np.cos(2.0 * ky * y) / 2.0 + np.cos(kx * x))
-    # hand-derived curl: H = (dAz/dy, -dAz/dx, 0)
-    h = np.zeros(grid.vshape)
-    h[0] = -a0 * ky * np.sin(2.0 * ky * y)
-    h[1] = a0 * kx * np.sin(kx * x)
+    mag = np.zeros(grid.vshape)
+    if formulation is Formulation.MODIFIED:
+        mag[2] = a0 * (np.cos(2.0 * ky * y) / 2.0 + np.cos(kx * x))
+    else:
+        # hand-derived curl: H = (dAz/dy, -dAz/dx, 0)
+        mag[0] = -a0 * ky * np.sin(2.0 * ky * y)
+        mag[1] = a0 * kx * np.sin(kx * x)
     v = np.zeros(grid.vshape)
     v[0] = -v0 * np.sin(ky * y)
     v[1] = v0 * np.sin(kx * x)
 
     state = _mag_state(
-        grid, formulation, v, np.full(grid.shape, rho0), np.full(grid.shape, p0),
-        a, h, (0.0, 0.0, 0.0),
+        grid, formulation, mag, v, np.full(grid.shape, rho0), np.full(grid.shape, p0),
+        (0.0, 0.0, 0.0),
     )
     return CaseSetup(state=state)
 
@@ -369,9 +370,8 @@ def manufactured(
 
     def exact(g: GridSpec, t: float) -> SimState:
         al, be, r, q = factors(g, t)[:4]
-        mag = al * mag_hat
-        return _mag_state(g, formulation, be * v_hat, 1.0 + r * rho_hat,
-                          1.0 + q * p_hat, mag, mag, h0, t=t)
+        return _mag_state(g, formulation, al * mag_hat, be * v_hat, 1.0 + r * rho_hat,
+                          1.0 + q * p_hat, h0, t=t)
 
     def source(g: GridSpec, t: float):
         al, be, r, q, dal, dbe, dr, dq = factors(g, t)

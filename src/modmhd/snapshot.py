@@ -21,7 +21,9 @@ all of the background that the traditional system reads, and the reader
 rebuilds the background as ``BackgroundPotential.from_uniform_field(H0)``.
 That round trip returns every normal or zero H0 component bit for bit,
 signed zeros included.  A subnormal one may come back changed: the
-symmetric gauge stores H0/2, which rounds in the subnormal range.
+symmetric gauge stores H0/2, which rounds in the subnormal range.  The
+background's gauge is not kept (a Landau gauge comes back symmetric);
+version 2 (ROADMAP, resumable runs) is meant to store M and keep it.
 
 Writes go to a temporary file in the target directory followed by an
 atomic rename, so a crash never leaves a half-written snapshot under the
@@ -40,7 +42,7 @@ import numpy as np
 from . import electromagnetics as em
 from .grid import GridSpec
 from .params import Formulation
-from .state import SimState
+from .state import SimState, scalar_components
 
 MAGIC = b"MODMHD1\x00"
 VERSION = 1
@@ -85,8 +87,7 @@ def write_snapshot(path, state: SimState) -> None:
     parts = [_HEADER.pack(MAGIC, VERSION, g.nx, g.ny, g.nz,
                           g.lx, g.ly, g.lz, state.t, 0 if modified else 1),
              background.astype("<f8").tobytes(), struct.pack("<I", len(names))]
-    mag, v, rho, p = state.fields
-    for name, arr in zip(names, (*mag, *v, rho, p)):
+    for name, arr in zip(names, scalar_components(state.fields)):
         parts.append(name.encode("ascii").ljust(_NAME_LEN, b"\x00"))
         parts.append(np.ascontiguousarray(arr).astype("<f8").tobytes(order="F"))
 

@@ -80,6 +80,13 @@ class SimState:
         return self.with_fields(*(f.copy() for f in self.fields), self.t)
 
 
+def scalar_components(fields) -> list[np.ndarray]:
+    """Views of the eight scalar components (mag x y z, v x y z, rho, P) of a
+    tuple in ``SimState.fields`` order: a state's, an ``Rhs``, a difference."""
+    mag, v, rho, p = fields
+    return [*mag, *v, rho, p]
+
+
 def validate_state(state: SimState) -> None:
     """Raise StateInvalidError naming the first offending quantity."""
     for name, arr in zip(_field_names(state.formulation), state.fields):

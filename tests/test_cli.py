@@ -344,6 +344,21 @@ def test_removed_dispersion_keys_are_unknown(tmp_path, capsys, line):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("modes", ["17,0,0", "-15,0,0", "8,1,0"])
+def test_dispersion_unresolved_mode_is_config_error(tmp_path, capsys, modes):
+    # on 16 x-points 17 and -15 alias to mode 1 and 8 is the Nyquist mode
+    cfg = _cfg(tmp_path, 'scenario.name = "uniform_rest"\n')
+    out = tmp_path / "out"
+    rc = cli.main(["dispersion", "--config", cfg, "--out-dir", str(out),
+                   "--set", "grid.ny=8", "--set", "grid.nz=8",
+                   "--set", f"dispersion.k={modes}"])
+    assert rc == cli.EXIT_CONFIG
+    mx = modes.split(",")[0]
+    assert (f"mode number mx = {mx} is not resolved by nx = 16 points: "
+            "need |mx| < 8") in capsys.readouterr().err
+    assert not (out / "dispersion.csv").exists()
+
+
 def test_dispersion_zero_mode_is_config_error(tmp_path, capsys):
     cfg = _cfg(tmp_path, 'scenario.name = "uniform_rest"\n')
     rc = cli.main(["dispersion", "--config", cfg, "--out-dir", str(tmp_path / "o"),

@@ -1,11 +1,14 @@
 """Numerical mode analysis against the hand-derived linearization."""
 
+import re
+
 import numpy as np
 import pytest
 
 from modmhd import (
     BackgroundPotential,
     Formulation,
+    GridSpec,
     PhysParams,
     SimState,
     dispersion,
@@ -15,6 +18,9 @@ from modmhd import (
     uniform_rest,
     wavevector_from_modes,
 )
+
+from modmhd.dispersion import mode_coefficients
+from modmhd.state import scalar_components
 
 from conftest import TWO_PI, cube, slab
 
@@ -36,6 +42,54 @@ def test_wavevector_from_modes():
     assert np.allclose(wavevector_from_modes((0, 2, 0), g2), (0.0, 4.0, 0.0))
     with pytest.raises(ValueError):
         wavevector_from_modes((0, 0, 0), g)
+
+
+# 16x8x8: |m| < 8 along x, |m| < 4 along y and z
+RESOLVE_GRID = GridSpec(16, 8, 8, TWO_PI, 3.0, 2.0)
+
+
+@pytest.mark.parametrize("modes, message", [
+    ((17, 0, 0), "mx = 17 is not resolved by nx = 16 points: need |mx| < 8"),
+    ((-15, 0, 0), "mx = -15 is not resolved by nx = 16 points: need |mx| < 8"),
+    ((8, 1, 0), "mx = 8 is not resolved by nx = 16 points: need |mx| < 8"),
+    ((1, 0, -4), "mz = -4 is not resolved by nz = 8 points: need |mz| < 4"),
+], ids=["alias_17", "alias_-15", "nyquist", "nyquist_z"])
+def test_unresolved_mode_numbers_are_refused(modes, message):
+    # 17 and -15 alias to mode 1 on 16 points; 8 is the Nyquist mode, which
+    # the centered stencils see as k = 0
+    background = _trad(RESOLVE_GRID)
+    for measure in (lambda: wavevector_from_modes(modes, RESOLVE_GRID),
+                    lambda: oracle_omegas(background, modes, PhysParams()),
+                    lambda: dispersion(background, modes, PhysParams())):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            measure()
+
+
+@pytest.mark.parametrize("formulation", list(Formulation))
+def test_highest_resolved_mode_matches_oracle(formulation):
+    background = uniform_rest(RESOLVE_GRID, formulation, 1.0, 0.6, 0.6, -0.3, 0.8).state
+    p = PhysParams()
+    res = dispersion(background, (7, -3, 3), p)
+    want = oracle_omegas(background, (7, -3, 3), p)
+    err = np.abs(np.sort_complex(res.omega) - np.sort_complex(want)).max()
+    assert err <= 1e-8 * np.abs(want).max()
+
+
+def test_mode_coefficients_recover_each_component_in_order():
+    # component c = 1 + a_c cos(k.x) + b_c sin(k.x): entry 2c is a_c, 2c + 1 is b_c
+    g = RESOLVE_GRID
+    st = _mod(g)
+    x, y, z = g.meshes()
+    phase = (2 * np.pi * 2 / g.lx) * x - (2 * np.pi / g.ly) * y + (2 * np.pi / g.lz) * z
+    basis = (np.cos(phase), np.sin(phase))
+    want = np.arange(1.0, 17.0) / 16.0
+    fields = [f.copy() for f in st.fields]
+    components = scalar_components(fields)
+    for c, f in enumerate(components):
+        f[...] = 1.0 + want[2 * c] * basis[0] + want[2 * c + 1] * basis[1]
+    assert np.shares_memory(components[0], fields[0])    # views, not copies
+    assert np.shares_memory(components[7], fields[3])
+    assert np.abs(mode_coefficients(fields, basis) - want).max() < 1e-14
 
 
 def test_modified_wavenumber():

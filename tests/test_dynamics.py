@@ -38,6 +38,7 @@ from modmhd import (
     uniform_rest,
     validate_state,
 )
+from modmhd.dispersion import mode_coefficients
 from modmhd.grid import full_vector
 
 from conftest import cube, slab
@@ -340,24 +341,6 @@ def test_fixed_point_bitwise(formulation):
     assert st.t == pytest.approx(1.0)
 
 
-def _mode_coefficients(state, base, kvec):
-    """Project the deviation from the background onto cos/sin of one mode."""
-    g = state.grid
-    x, y, z = g.meshes()
-    phase = kvec[0] * x + kvec[1] * y + kvec[2] * z
-    cosf, sinf = np.cos(phase), np.sin(phase)
-    w = 2.0 / g.npoints
-    out = []
-    fields = [state.mag[i] - base.mag[i] for i in range(3)]
-    fields += [state.v[i] - base.v[i] for i in range(3)]
-    fields += [state.rho - base.rho, state.p - base.p]
-    for f in fields:
-        out.append(w * float((f * cosf).sum()))
-    for f in fields:
-        out.append(w * float((f * sinf).sum()))
-    return np.array(out)
-
-
 def test_rk4_matches_matrix_exponential_to_dt5():
     # single sound-mode perturbation: step the PDE and compare against the
     # exact exponential of the 16x16 linear mode operator; the defect must
@@ -366,28 +349,32 @@ def test_rk4_matches_matrix_exponential_to_dt5():
     g = slab(32)
     p = PhysParams()
     base = uniform_rest(g, Formulation.MODIFIED, 1.0, 1.0).state
-    kvec = np.array([1.0, 0.0, 0.0])
     L = oracle_matrix(base, (1, 0, 0), p)
     # fields f = c cos(kx) + s sin(kx) with complex amplitude c - i s:
-    # d/dt (c; s) = [[Re L, Im L], [-Im L, Re L]] (c; s)
-    big = np.block([[L.real, L.imag], [-L.imag, L.real]])
+    # d/dt (c; s) = [[Re L, Im L], [-Im L, Re L]] (c; s), permuted so that
+    # each component's (c, s) pair is adjacent, as mode_coefficients orders it
+    big = np.kron(L.real, np.eye(2)) + np.kron(L.imag, [[0.0, 1.0], [-1.0, 0.0]])
     lam, vecs = la.eig(big)
     assert la.cond(vecs) < 1e8   # diagonalizable for this background
 
     eps = 1e-7
     x = g.meshes()[0]
+    basis = (np.cos(x) * np.ones(g.shape), np.sin(x) * np.ones(g.shape))
 
     def perturbed():
         st = base.copy()
-        st.v[0] += eps * np.cos(kvec[0] * x) * np.ones(g.shape)
-        st.p += eps * 0.5 * np.sin(kvec[0] * x) * np.ones(g.shape)
+        st.v[0] += eps * basis[0]
+        st.p += eps * 0.5 * basis[1]
         return st
 
-    coef0 = _mode_coefficients(perturbed(), base, kvec)
+    def deviation(st):
+        return [f - f0 for f, f0 in zip(st.fields, base.fields)]
+
+    coef0 = mode_coefficients(deviation(perturbed()), basis)
     defects = []
     for dt in (0.2, 0.1):
         st, _ = step_rk4(perturbed(), dt, p)
-        got = _mode_coefficients(st, base, kvec)
+        got = mode_coefficients(deviation(st), basis)
         expm = (vecs @ np.diag(np.exp(lam * dt)) @ la.inv(vecs)).real
         defects.append(la.norm(got - expm @ coef0))
     ratio = defects[0] / defects[1]

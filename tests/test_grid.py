@@ -62,8 +62,8 @@ def test_require_order():
 
 @pytest.mark.parametrize("order", [0, 1, 2, 3, 4, 6])
 def test_one_stencil_order_set_everywhere(order):
-    # every order check accepts exactly {2, 4}, and every rejection but the
-    # wavenumber's names the allowed orders with the one shared text
+    # every order check accepts exactly {2, 4}, and every rejection names
+    # the allowed orders with the one shared text
     assert STENCIL_ORDERS_TEXT == "2 or 4"
     g = cube(16)
     f = np.zeros(g.shape)
@@ -76,7 +76,7 @@ def test_one_stencil_order_set_everywhere(order):
         (ConfigError, STENCIL_ORDERS_TEXT, lambda: parse_config(text)),
         (ValueError, STENCIL_ORDERS_TEXT, lambda: ops._d1(f, 0, g.hx, order)),
         (ValueError, STENCIL_ORDERS_TEXT, lambda: ops._d2(f, 0, g.hx, order)),
-        (ValueError, "unsupported stencil order",
+        (ValueError, STENCIL_ORDERS_TEXT,
          lambda: ops.modified_wavenumber(1.0, g.hx, order)),
     ]
     for error, message, check in checks:

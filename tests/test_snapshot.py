@@ -1,5 +1,6 @@
 """Binary snapshot format: round-trips and failure modes."""
 
+import dataclasses
 import os
 import re
 import struct
@@ -124,6 +125,20 @@ def test_traditional_background_reads_back_bitwise(tmp_path):
     assert back.bg.uniform_field.astype("<f8").tobytes() == stored
     write_snapshot(tmp_path / "again.bin", back)
     assert (tmp_path / "again.bin").read_bytes() == bytes(blob)
+
+
+def test_traditional_file_keeps_h0_but_not_the_background_gauge(tmp_path):
+    # a v1 traditional file stores H0 only: the Landau gauge A0 = (0, -z, 0)
+    # of H0 = x-hat comes back as the symmetric gauge of the same H0
+    landau = np.zeros((3, 3))
+    landau[1, 2] = -1.0
+    st = dataclasses.replace(_sample_state(_TRAD), bg=BackgroundPotential(landau))
+    path = tmp_path / "snap.bin"
+    write_snapshot(path, st)
+    back = read_snapshot(path)
+    assert back.bg.uniform_field.tobytes() == st.bg.uniform_field.tobytes()
+    assert back.bg == BackgroundPotential.from_uniform_field(st.bg.uniform_field)
+    assert back.bg != st.bg
 
 
 @pytest.mark.parametrize("h0", [(0.3, -0.2, 0.9), (-0.0, 0.0, -0.0),
