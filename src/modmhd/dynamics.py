@@ -20,9 +20,12 @@ differentiated once per RHS (30 stencil derivatives modified, 27
 traditional): one Jacobian of A gives curl A and (j.grad)A through the
 curl and contraction code of ``operators``, and div v is summed from the
 diagonal that (v.grad)v already takes.  Both are
-marched with classical RK4 (method of lines); the solenoidal gauge of A
-is re-imposed after completed steps according to the gauge policy, never
-inside RK stages, and the pre-projection drift is recorded.
+marched with classical RK4 (method of lines).  div A = 0 is not one of
+the evolved equations: ``run`` re-imposes it by projection after the
+completed steps its gauge policy names, never inside RK stages, and
+records the pre-projection drift.  ``step_rk4`` never projects, so a
+hand-written loop calls ``enforce_gauge`` itself.  The split is first
+order in time (see ``tests/test_dynamics.py``).
 
 The induction/force half and the fluid half of the RHS are independent
 until the force joins dv/dt.  On grids of more than 32^3 points, when the
@@ -192,20 +195,13 @@ def enforce_gauge(state: SimState, params: PhysParams) -> tuple[SimState, float]
     return replace(state, mag=a_proj), drift
 
 
-def step_rk4(
-    state: SimState,
-    dt: float,
-    params: PhysParams,
-    source=None,
-    step_index: int = 0,
-) -> tuple[SimState, float | None]:
-    """One classical RK4 step; returns (new state, gauge drift or None).
+def step_rk4(state: SimState, dt: float, params: PhysParams, source=None) -> SimState:
+    """One classical RK4 step of the eight evolved equations.
 
     ``source(grid, t)`` may supply externally prescribed derivatives (a
     4-tuple matching Rhs) added to the RHS at each stage time -- used by
-    the manufactured-solution scenario.  Gauge projection, when the policy
-    says it is due after this completed step, is applied to the full
-    update; the returned drift is ||div A||_2 measured just before it.
+    the manufactured-solution scenario.  It never projects A: the gauge
+    split belongs to the caller (``run``, or ``enforce_gauge`` by hand).
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -244,12 +240,7 @@ def step_rk4(
         a += b
         a *= w
         a += f
-    new = state.with_fields(*acc, t0 + dt)
-
-    drift = None
-    if new.formulation is Formulation.MODIFIED and params.gauge.due(step_index + 1):
-        new, drift = enforce_gauge(new, params)
-    return new, drift
+    return state.with_fields(*acc, t0 + dt)
 
 
 def run(
@@ -271,7 +262,10 @@ def run(
     is raised (nothing is silently dropped).  A non-finite t_end or
     initial time, or a grid too small for the stencil order, raises
     ValueError before anything runs.  It pins glibc's heap thresholds for
-    the process (``_keep_freed_heap``).
+    the process (``_keep_freed_heap``).  After each completed step that
+    the gauge policy names, a modified state is projected onto div A = 0
+    (``enforce_gauge``) and the step's record carries the drift measured
+    before it; ``step_rk4`` itself never projects.
     """
     if not (math.isfinite(initial.t) and math.isfinite(t_end)):
         raise ValueError(f"times must be finite, got t = {initial.t}, t_end = {t_end}")
@@ -310,8 +304,11 @@ def run(
             final = remaining <= 1.01 * dt
             if final:
                 dt = remaining
-            state, drift = step_rk4(state, dt, params, source=source, step_index=step)
+            state = step_rk4(state, dt, params, source=source)
             step += 1
+            drift = None
+            if state.formulation is Formulation.MODIFIED and params.gauge.due(step):
+                state, drift = enforce_gauge(state, params)
             if final:
                 state = replace(state, t=t_end)
             if on_step is not None:

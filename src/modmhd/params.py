@@ -22,12 +22,13 @@ class Formulation(enum.Enum):
 
 @dataclass(frozen=True)
 class GaugePolicy:
-    """When to re-project A onto div A = 0 during time stepping.
+    """When ``run`` re-projects A onto div A = 0 during time stepping.
 
-    Projection happens after every ``every``-th completed RK4 step (never
-    inside stages); ``every = 0`` turns it off.  The drift ||div A||_2 is
-    measured before each projection and reported through diagnostics
-    either way -- with projection off it simply accumulates.
+    ``run`` projects after every ``every``-th completed RK4 step (never
+    inside stages; ``step_rk4`` never projects); ``every = 0`` turns it
+    off.  The drift ||div A||_2 is measured before each projection and
+    reported through diagnostics either way -- with projection off it
+    simply accumulates.
     """
 
     every: int = 1

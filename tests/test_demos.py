@@ -4,15 +4,18 @@ Demos run their work under ``if __name__ == "__main__"``, so importing one
 only resolves its imports and module constants: a public name that a demo
 uses and the package no longer exports fails here, not in a user's shell.
 A call whose signature went stale fails only when ``main()`` runs, so
-demo 04, which runs in well under a second, is run as well.
+demo 04, which runs in well under a second, is run as well.  So is the
+quick start in README.md, which goes stale against the API the same way.
 """
 
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("[0-9][0-9]_*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("[0-9][0-9]_*.py"))
 
 
 def _load(path):
@@ -42,3 +45,11 @@ def test_dispersion_demo_prints_both_transverse_speeds(capsys):
     gaps = [float(line.split("oracle gap ")[1].split(",")[0])
             for line in out.splitlines() if "oracle gap" in line]
     assert len(gaps) == 2 and max(gaps) < 1e-9
+
+
+def test_readme_quick_start_runs(capsys):
+    (code,) = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    exec(compile(code, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("t= 0.000")
+    assert lines[-1].startswith("t= 5.000")

@@ -53,7 +53,8 @@ RESOLVE_GRID = GridSpec(16, 8, 8, TWO_PI, 3.0, 2.0)
     ((-15, 0, 0), "mx = -15 is not resolved by nx = 16 points: need |mx| < 8"),
     ((8, 1, 0), "mx = 8 is not resolved by nx = 16 points: need |mx| < 8"),
     ((1, 0, -4), "mz = -4 is not resolved by nz = 8 points: need |mz| < 4"),
-], ids=["alias_17", "alias_-15", "nyquist", "nyquist_z"])
+    ((1.5, 0, 0), "modes must be three integers"),
+], ids=["alias_17", "alias_-15", "nyquist", "nyquist_z", "non_integer"])
 def test_unresolved_mode_numbers_are_refused(modes, message):
     # 17 and -15 alias to mode 1 on 16 points; 8 is the Nyquist mode, which
     # the centered stencils see as k = 0

@@ -332,8 +332,8 @@ def test_fixed_point_bitwise(formulation):
     g = cube(8)
     st0 = uniform_rest(g, formulation, b0x=0.3, b0z=0.1).state
     st = st0.copy()
-    for i in range(20):
-        st, _ = step_rk4(st, 0.05, PhysParams(), step_index=i)
+    for _ in range(20):
+        st = step_rk4(st, 0.05, PhysParams())
     assert np.array_equal(st.mag, st0.mag)
     assert np.array_equal(st.v, st0.v)
     assert np.array_equal(st.rho, st0.rho)
@@ -373,7 +373,7 @@ def test_rk4_matches_matrix_exponential_to_dt5():
     coef0 = mode_coefficients(deviation(perturbed()), basis)
     defects = []
     for dt in (0.2, 0.1):
-        st, _ = step_rk4(perturbed(), dt, p)
+        st = step_rk4(perturbed(), dt, p)
         got = mode_coefficients(deviation(st), basis)
         expm = (vecs @ np.diag(np.exp(lam * dt)) @ la.inv(vecs)).real
         defects.append(la.norm(got - expm @ coef0))
@@ -425,11 +425,10 @@ def test_step_rk4_matches_written_out_combination_bitwise(scenario, formulation)
         case = manufactured(cube(8), formulation)
     params = PhysParams(gauge=GaugePolicy.off())
     got = want = case.state
-    for k in range(2):
+    for _ in range(2):
         dt = cfl_dt(got, params)
-        got, drift = step_rk4(got, dt, params, source=case.source, step_index=k)
+        got = step_rk4(got, dt, params, source=case.source)
         want = _rk4_field_by_field(want, dt, params, source=case.source)
-        assert drift is None
         assert got.t == want.t
         for f, g in zip(got.fields, want.fields):
             assert np.array_equal(f, g)
@@ -468,20 +467,49 @@ def test_enforce_gauge_traditional_rejected():
         enforce_gauge(st, PhysParams())
 
 
-def test_gauge_policy_dispatch_in_step():
-    g = cube(16)
-    case = sound_wave(g, Formulation.MODIFIED, delta=1e-3)
-    p_on = PhysParams(gauge=GaugePolicy.every_step())
+@pytest.mark.parametrize("policy", [
+    GaugePolicy.every_step(), GaugePolicy.off(), GaugePolicy.every_n(3),
+], ids=["every_step", "off", "every_n_3"])
+def test_run_projects_after_the_steps_its_policy_names(policy):
+    st = random_solenoidal(cube(8), Formulation.MODIFIED, amplitude=0.05).state
+    params = PhysParams(gauge=policy)
+    scale = ops.l2_norm(st.mag, st.grid)
+    dt = cfl_dt(st, params)
+    _, records = run(st, params, 6.5 * dt, out_every=1)
+    assert len(records) == 8   # the start and seven completed steps
+    for step, rec in enumerate(records):
+        if step > 0 and policy.due(step):
+            assert rec.divA_l2 <= 1e-10 * scale
+            assert rec.gauge_drift > rec.divA_l2
+        else:
+            assert rec.gauge_drift == rec.divA_l2
+    # the projection is run's: step_rk4 alone never reads the policy
     p_off = PhysParams(gauge=GaugePolicy.off())
-    p_n = PhysParams(gauge=GaugePolicy.every_n(3))
-    _, drift = step_rk4(case.state, 1e-3, p_on)
-    assert drift is not None
-    _, drift = step_rk4(case.state, 1e-3, p_off)
-    assert drift is None
-    _, drift = step_rk4(case.state, 1e-3, p_n, step_index=0)   # step 1 of 3
-    assert drift is None
-    _, drift = step_rk4(case.state, 1e-3, p_n, step_index=2)   # step 3 of 3
-    assert drift is not None
+    for f, g in zip(step_rk4(st, dt, params).fields, step_rk4(st, dt, p_off).fields):
+        assert np.array_equal(f, g)
+
+
+def test_gauge_split_is_first_order_in_time():
+    # RK4 alone converges at order 4; a projection after every step is an
+    # operator splitting (the modified force reads the gauge of A), which
+    # brings the scheme down to order 1
+    st0 = random_solenoidal(cube(8), Formulation.MODIFIED, amplitude=0.5).state
+    params = PhysParams(gauge=GaugePolicy.off())
+    t_end = 0.2
+
+    def velocity(n_steps, project):
+        st = st0
+        for _ in range(n_steps):
+            st = step_rk4(st, t_end / n_steps, params)
+            if project:
+                st, _ = enforce_gauge(st, params)
+        return st.v
+
+    for project, order in ((False, 4.0), (True, 1.0)):
+        v = [velocity(n, project) for n in (5, 10, 20, 40)]
+        diffs = [ops.l2_norm(a - b, st0.grid) for a, b in zip(v, v[1:])]
+        for coarse, fine in zip(diffs, diffs[1:]):
+            assert np.log2(coarse / fine) == pytest.approx(order, abs=0.3)
 
 
 def test_gauge_policy_is_one_interval():

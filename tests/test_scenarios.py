@@ -67,13 +67,15 @@ def test_uniform_rest_magnetic_energy():
 # -- Alfven wave ---------------------------------------------------------------
 
 def test_alfven_rejects_zero_mode():
-    with pytest.raises(ValueError):
-        alfven_wave(cube(8), mode=0)
+    for builder in (alfven_wave, sound_wave):
+        with pytest.raises(ValueError, match="mode must be a nonzero integer"):
+            builder(cube(8), mode=0)
 
 
 def test_alfven_warns_on_nonlinear_amplitude():
-    with pytest.warns(UserWarning):
-        alfven_wave(cube(8), delta=1.5)
+    for builder in (alfven_wave, sound_wave):
+        with pytest.warns(UserWarning, match="strongly nonlinear"):
+            builder(cube(8), delta=1.5)
 
 
 def test_alfven_zero_amplitude_is_uniform_rest():
