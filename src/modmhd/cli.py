@@ -41,7 +41,7 @@ def _fmt(x) -> str:
 
 def _write_text(path: str, text: str) -> None:
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    snap.atomic_write(path, text.encode())
+    snap.atomic_write(path, (text.encode(),))
 
 
 def _write_csv(path: str, header, rows) -> None:

@@ -39,6 +39,18 @@ so running under ``taskset -c 0`` keeps every RHS on one thread.  Do so
 when the host steals CPU: on a 2-vCPU VM under host steal, two threads took
 483-1009 ms/step on ``traditional_64`` against 393-640 on one, as each
 hand-off halts a vCPU that a loaded host is slow to wake.
+
+While an RHS runs, an RK4 step holds the state, the running sum of the
+k's and one stage state: three sets of the eight scalar fields.  The RHS
+adds its own peak, the k it returns included: at 64^3, 13-14 scalar
+fields inline for the traditional system and 19 for the modified one
+(``tests/test_dynamics.py`` pins them on 16^3), and 17-19 and 25-26 on
+two threads.  So the RHS's scratch, not the state, sets the step's
+high-water mark, and ``compute_rhs`` keeps it low: every intermediate
+that is only negated, scaled, divided by rho or summed is updated in
+place, each is dropped after its last reader, and grad P and rho v are
+formed one component at a time.  It never writes into a state's arrays,
+which states share (``with_fields`` and a no-op projection hand them on).
 """
 
 from __future__ import annotations
@@ -118,16 +130,25 @@ def _induction_and_force(state: SimState, params: PhysParams):
         # before H0 joins it, as (x + H0) - (y + H0) is not bitwise x - y
         da = ops._jacobian(state.mag, g, o)
         curl_a = ops._curl(da, np.empty(state.mag.shape))
-        j = (1.0 / FOUR_PI) * ops.curl(curl_a, g, o)
-        force = em._force(j, da, state.bg)
+        j = ops.curl(curl_a, g, o)
+        j *= 1.0 / FOUR_PI
+        # force_modified's sum, with the Jacobian freed before A0's term
+        force = ops._contract(j, da)
         del da
+        force += state.bg.advected_by(j)
+        np.negative(force, out=force)
+        del j
         h_tot = curl_a
         h_tot += state.bg.uniform_field[:, None, None, None]
         dmag = ops.cross(state.v, h_tot)
     else:
+        # the force first, so that H_tot is freed before curl(v x H_tot)
         h_tot = state.mag + state.bg.uniform_field[:, None, None, None]
-        dmag = ops.curl(ops.cross(state.v, h_tot), g, o)
-        force = ops.cross(ops.curl(state.mag, g, o), h_tot) / FOUR_PI
+        force = ops.cross(ops.curl(state.mag, g, o), h_tot)
+        force /= FOUR_PI
+        dmag = ops.cross(state.v, h_tot)
+        del h_tot
+        dmag = ops.curl(dmag, g, o)
     return dmag, force
 
 
@@ -137,7 +158,8 @@ def compute_rhs(state: SimState, params: PhysParams) -> Rhs:
     Only the induction and force laws branch on the formulation; the
     fluid lines are shared, so the two systems differ in nothing else.
     On large grids the two halves run on two threads (see the module
-    docstring), with bitwise the same result.
+    docstring), with bitwise the same result.  It only reads the state's
+    arrays; its intermediates are updated in place (see the module docstring).
     """
     validate_state(state)
     g = state.grid
@@ -156,19 +178,38 @@ def compute_rhs(state: SimState, params: PhysParams) -> Rhs:
     else:
         outcome.append(_induction_and_force(state, params))
     try:
-        gradp = ops.grad(state.p, g, o)
         div_v = np.empty(g.shape)
-        dv = -ops._contract(state.v, ops._stencil(state.v, g, o), trace=div_v)
-        dv -= gradp / state.rho
-        drho = -ops.div(state.rho * state.v, g, o)
-        dp = -ops.dot(state.v, gradp) - params.gamma * state.p * div_v
+        dv = ops._contract(state.v, ops._stencil(state.v, g, o), trace=div_v)
+        np.negative(dv, out=dv)
+        # grad P one component at a time: dv_c -= d_c P / rho, and v.grad P
+        # is summed in ops.dot's order
+        h = g.spacings
+        dp, term, dp_dx = np.empty(g.shape), np.empty(g.shape), np.empty(g.shape)
+        for c in range(3):
+            ops._d1(state.p, c, h[c], o, dp_dx)
+            if c == 0:
+                np.multiply(state.v[0], dp_dx, out=dp)
+            else:
+                dp += np.multiply(state.v[c], dp_dx, out=term)
+            dp_dx /= state.rho
+            dv[c] -= dp_dx
+        del term, dp_dx
+        # dP/dt = -v.grad(P) - (gamma P) div v
+        np.negative(dp, out=dp)
+        div_v *= params.gamma * state.p
+        dp -= div_v
+        del div_v
+        rho_v = np.empty(g.shape)   # rho v, one component at a time
+        drho = ops.div((np.multiply(state.rho, vc, out=rho_v) for vc in state.v), g, o)
+        np.negative(drho, out=drho)
     finally:
         if helper is not None:
             helper.join()
     if isinstance(outcome[0], BaseException):
         raise outcome[0]
     dmag, force = outcome[0]
-    dv += force / state.rho
+    force /= state.rho
+    dv += force
     return Rhs(dmag, dv, drho, dp)
 
 

@@ -86,11 +86,25 @@ class BackgroundPotential:
 
     def advected_by(self, v: np.ndarray) -> np.ndarray:
         """(V . grad) A0, exactly: component i is sum_k V_k M_ik."""
-        return np.einsum("ik,k...->i...", self.matrix, v)
+        return _matrix_times(self.matrix, v)
 
     def contracted_with(self, v: np.ndarray) -> np.ndarray:
         """G_i = sum_k V_k d_i A0_k = sum_k V_k M_ki, exactly."""
-        return np.einsum("ki,k...->i...", self.matrix, v)
+        return _matrix_times(self.matrix.T, v)
+
+
+def _matrix_times(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """out_i = sum_k m_ik V_k, summed from zero in k order over m's nonzero entries.
+
+    A zero entry adds a signed zero, which leaves a sum that starts at +0
+    unchanged, so on finite V this is bitwise the einsum of m and V.
+    """
+    out = np.zeros(v.shape)
+    for i in range(3):
+        for k in range(3):
+            if m[i, k] != 0.0:
+                out[i] += m[i, k] * v[k]
+    return out
 
 
 @dataclass(frozen=True)
@@ -133,12 +147,7 @@ def force_modified(
     order: int = 2,
 ) -> np.ndarray:
     """Advective current force f = -(1/c) (j . grad)(A_periodic + A0)."""
-    return _force(j, ops._stencil(a, grid, order), bg)
-
-
-def _force(j: np.ndarray, da, bg: BackgroundPotential) -> np.ndarray:
-    """The modified force from A's first derivatives ``da`` (see ``ops._contract``)."""
-    f = ops._contract(j, da)
+    f = ops.advect(j, a, grid, order)
     f += bg.advected_by(j)
     return np.negative(f, out=f)
 

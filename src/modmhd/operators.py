@@ -117,12 +117,18 @@ def grad(s: np.ndarray, grid: GridSpec, order: int = 2) -> np.ndarray:
 
 
 def div(v: np.ndarray, grid: GridSpec, order: int = 2) -> np.ndarray:
-    """Divergence of a vector field."""
+    """Divergence of a vector field.
+
+    ``v`` may be any iterable of the three components.  Each is drawn only
+    after the previous one is differenced, so a generator may yield them
+    in one shared buffer.
+    """
     h = grid.spacings
-    out = _d1(v[0], 0, h[0], order)
-    d = _d1(v[1], 1, h[1], order)
+    v = iter(v)
+    out = _d1(next(v), 0, h[0], order)
+    d = _d1(next(v), 1, h[1], order)
     out += d
-    out += _d1(v[2], 2, h[2], order, d)
+    out += _d1(next(v), 2, h[2], order, d)
     return out
 
 
@@ -220,8 +226,15 @@ def cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Pointwise dot product of two vector fields (a scalar field)."""
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+    """Pointwise dot product of two vector fields (a scalar field).
+
+    Summed as (u0 v0 + u1 v1) + u2 v2 in two arrays.
+    """
+    out = np.multiply(u[0], v[0])
+    tmp = np.multiply(u[1], v[1])
+    out += tmp
+    out += np.multiply(u[2], v[2], out=tmp)
+    return out
 
 
 def l2_norm(arr: np.ndarray, grid: GridSpec) -> float:

@@ -61,17 +61,19 @@ def _field_names(formulation: Formulation):
     return mag + ("vx", "vy", "vz", "rho", "P")
 
 
-def atomic_write(path, data: bytes) -> None:
-    """Write ``data`` to ``path`` through a temporary file and a rename.
+def atomic_write(path, chunks) -> None:
+    """Write the bytes-like ``chunks``, in turn, to ``path`` through a
+    temporary file and a rename.
 
-    Readers see the old file or all of ``data``, never a torn file; the
-    temporary file is removed if anything fails.
+    Readers see the old file or all of the chunks, never a torn file; the
+    temporary file is removed if anything fails, producing a chunk included.
     """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(prefix=".tmp-", dir=directory)
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
+            for chunk in chunks:
+                handle.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -80,39 +82,65 @@ def atomic_write(path, data: bytes) -> None:
 
 
 def write_snapshot(path, state: SimState) -> None:
+    atomic_write(path, _chunks(state))
+
+
+def _chunks(state: SimState):
+    """The file's bytes in layout order; one transposed copy per field at a time."""
     g = state.grid
     modified = state.formulation is Formulation.MODIFIED
     background = state.bg.matrix if modified else state.bg.uniform_field
     names = _field_names(state.formulation)
-    parts = [_HEADER.pack(MAGIC, VERSION, g.nx, g.ny, g.nz,
-                          g.lx, g.ly, g.lz, state.t, 0 if modified else 1),
-             background.astype("<f8").tobytes(), struct.pack("<I", len(names))]
+    yield _HEADER.pack(MAGIC, VERSION, g.nx, g.ny, g.nz,
+                       g.lx, g.ly, g.lz, state.t, 0 if modified else 1)
+    yield background.astype("<f8").tobytes()
+    yield struct.pack("<I", len(names))
     for name, arr in zip(names, scalar_components(state.fields)):
-        parts.append(name.encode("ascii").ljust(_NAME_LEN, b"\x00"))
-        parts.append(np.ascontiguousarray(arr).astype("<f8").tobytes(order="F"))
-
-    atomic_write(path, b"".join(parts))
+        yield name.encode("ascii").ljust(_NAME_LEN, b"\x00")
+        # x index fastest: the C-ordered transpose
+        yield np.ascontiguousarray(arr.T, dtype="<f8")
 
 
 class _Reader:
-    def __init__(self, blob: bytes):
-        self.blob = blob
+    """Sequential reads from an open file, checked against its length."""
+
+    def __init__(self, handle):
+        self.handle = handle
+        self.size = os.fstat(handle.fileno()).st_size
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.blob):
+    def need(self, n: int) -> None:
+        """Raise unless the file holds n more bytes."""
+        if self.pos + n > self.size:
             raise SnapshotError(
                 f"truncated snapshot: needed {self.pos + n} bytes, "
-                f"file has {len(self.blob)}"
+                f"file has {self.size}"
             )
-        out = self.blob[self.pos:self.pos + n]
+
+    def take(self, n: int) -> bytes:
+        self.need(n)
+        data = self.handle.read(n)
+        self._advance(n, len(data))
+        return data
+
+    def take_into(self, out: np.ndarray) -> None:
+        """Fill the C-contiguous ``out`` with the next ``out.nbytes`` bytes."""
+        self.need(out.nbytes)
+        self._advance(out.nbytes, self.handle.readinto(out))
+
+    def _advance(self, n: int, got: int) -> None:
+        if got < n:   # the file shrank after its length was taken
+            self.size = self.pos + got
+            self.need(n)
         self.pos += n
-        return out
 
 
 def read_snapshot(path) -> SimState:
     with open(path, "rb") as handle:
-        rd = _Reader(handle.read())
+        return _read(_Reader(handle))
+
+
+def _read(rd: _Reader) -> SimState:
     magic = rd.take(len(MAGIC))
     if magic != MAGIC:
         raise SnapshotError("not a snapshot file (bad magic)")
@@ -142,16 +170,21 @@ def read_snapshot(path) -> SimState:
     expected = _field_names(formulation)
     if count != len(expected):
         raise SnapshotError(f"expected {len(expected)} fields, header says {count}")
-    scalars = []
-    nbytes = 8 * nx * ny * nz
-    for want in expected:
+    fields = None
+    for i, want in enumerate(expected):
         name = rd.take(_NAME_LEN).rstrip(b"\x00").decode("ascii", "replace")
         if name != want:
             raise SnapshotError(f"expected field {want!r}, found {name!r}")
-        flat = np.frombuffer(rd.take(nbytes), dtype="<f8")
-        scalars.append(flat.reshape((nx, ny, nz), order="F").copy())
-    if rd.pos != len(rd.blob):
-        raise SnapshotError(f"{len(rd.blob) - rd.pos} trailing bytes after fields")
+        if fields is None:
+            # the header's sizes must fit in the file before they are allocated
+            rd.need(8 * grid.npoints)
+            fields = (np.empty(grid.vshape), np.empty(grid.vshape),
+                      np.empty(grid.shape), np.empty(grid.shape))
+            # x index fastest on disk: each field lands in place through one buffer
+            flat = np.empty((nz, ny, nx), dtype="<f8")
+        rd.take_into(flat)
+        np.copyto(scalar_components(fields)[i], flat.T)
+    if rd.pos != rd.size:
+        raise SnapshotError(f"{rd.size - rd.pos} trailing bytes after fields")
 
-    mag, v, (rho, p) = np.stack(scalars[:3]), np.stack(scalars[3:6]), scalars[6:]
-    return SimState(grid, formulation, mag, v, rho, p, background, t)
+    return SimState(grid, formulation, *fields, background, t)

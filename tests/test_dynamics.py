@@ -6,6 +6,7 @@ import resource
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -233,6 +234,41 @@ def test_continuity_against_analytic_gradient():
     assert ops.max_norm(rhs.rho + u0 * eps * np.cos(x)) < 1e-4
     assert ops.max_norm(rhs.v) < 1e-14
     assert np.all(rhs.p == 0.0)
+
+
+#: Peak of one inline RHS above its entry, in scalar fields of the grid.  The
+#: traditional peak is the fluid half (dv, div v, dP and one component of
+#: grad P with its scratch) beside the induction half's two results; the
+#: modified one is the force contraction beside the Jacobian of A, curl A and
+#: j.  On 16^3 a ufunc's 64 KB broadcast buffer (force / rho) adds two fields.
+_RHS_PEAK_FIELDS = {(Formulation.TRADITIONAL, 2): 14.5, (Formulation.TRADITIONAL, 4): 14.9,
+                    (Formulation.MODIFIED, 2): 19.5, (Formulation.MODIFIED, 4): 19.5}
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("formulation", list(Formulation))
+def test_rhs_scratch_footprint(formulation, order):
+    g = cube(16)
+    assert g.npoints <= dynamics._OVERLAP_MIN_POINTS
+    st = random_solenoidal(g, formulation, amplitude=0.3, order=order).state
+    params = PhysParams(stencil_order=order)
+    before = st.copy()
+    compute_rhs(st, params)
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        entry = tracemalloc.get_traced_memory()[0]
+        rhs = compute_rhs(st, params)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert ops.max_norm(rhs.v) > 0.0
+    assert peak / (8 * g.npoints) < _RHS_PEAK_FIELDS[formulation, order]
+    # the in-place updates never reach the state's own arrays
+    assert all(np.array_equal(a, b) for a, b in zip(st.fields, before.fields))
 
 
 # -- the two-thread RHS ----------------------------------------------------------

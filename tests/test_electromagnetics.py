@@ -41,14 +41,19 @@ def test_background_from_uniform_field_roundtrip():
 
 
 def test_background_contractions():
+    # bitwise the einsum form, also where M has zero entries (the symmetric
+    # gauge of H0 along x has a zero row) and V has signed zeros
     rng = np.random.default_rng(0)
-    m = rng.standard_normal((3, 3))
-    bg = BackgroundPotential(m)
+    random = rng.standard_normal((3, 3))
     v = rng.standard_normal((3, 4, 4, 4))
-    adv = bg.advected_by(v)       # (v . grad) A0 = M v
-    con = bg.contracted_with(v)   # sum_k v_k grad A0_k = M^T v
-    assert np.allclose(adv, np.einsum("ik,kxyz->ixyz", m, v))
-    assert np.allclose(con, np.einsum("ki,kxyz->ixyz", m, v))
+    v[:, 0] = 0.0
+    v[:, 1] = -0.0
+    for m in (random, BackgroundPotential.from_uniform_field((0.7, 0.0, 0.0)).matrix):
+        bg = BackgroundPotential(m)
+        adv = bg.advected_by(v)       # (v . grad) A0 = M v
+        con = bg.contracted_with(v)   # sum_k v_k grad A0_k = M^T v
+        assert adv.tobytes() == np.einsum("ik,kxyz->ixyz", m, v).tobytes()
+        assert con.tobytes() == np.einsum("ki,kxyz->ixyz", m, v).tobytes()
 
 
 def test_background_validation():

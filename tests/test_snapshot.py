@@ -1,6 +1,7 @@
 """Binary snapshot format: round-trips and failure modes."""
 
 import dataclasses
+import errno
 import os
 import re
 import struct
@@ -54,6 +55,38 @@ def test_write_then_rewrite_same_bytes(tmp_path):
 
 def test_no_temp_files_left_behind(tmp_path):
     write_snapshot(tmp_path / "snap.bin", _sample_state(Formulation.MODIFIED))
+    assert os.listdir(tmp_path) == ["snap.bin"]
+
+
+def test_failed_write_keeps_the_old_file_and_leaves_no_temp_file(tmp_path, monkeypatch):
+    # the disk fills up once the header and the first fields are written
+    path = tmp_path / "snap.bin"
+    write_snapshot(path, _sample_state(Formulation.MODIFIED))
+    old = path.read_bytes()
+    real_fdopen = os.fdopen
+    written = []
+
+    class FillingUp:
+        def __init__(self, handle):
+            self.handle = handle
+
+        def write(self, chunk):
+            if sum(written) > len(old) // 2:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            written.append(memoryview(chunk).nbytes)
+            return self.handle.write(chunk)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.handle.close()
+
+    monkeypatch.setattr(os, "fdopen", lambda fd, mode: FillingUp(real_fdopen(fd, mode)))
+    with pytest.raises(OSError, match="No space left"):
+        write_snapshot(path, _sample_state(Formulation.TRADITIONAL))
+    assert 0 < sum(written) < len(old)
+    assert path.read_bytes() == old
     assert os.listdir(tmp_path) == ["snap.bin"]
 
 
