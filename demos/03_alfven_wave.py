@@ -1,10 +1,12 @@
 """Traveling Alfven wave: measure the phase speed, return after one period.
 
 A transverse perturbation on a uniform field H0 = x-hat propagates at
-v_A = H0/sqrt(4 pi rho).  We integrate the traditional system for one
-period on an x-resolved slab, track the phase of the k=1 Fourier mode of
-H_y at every step, fit the phase slope, and compare the distance between
-the final and initial states against the perturbation amplitude.
+v_A = H0/sqrt(4 pi rho).  We integrate the traditional system (the
+vector potential A driven by the Lorentz force) for one period on an
+x-resolved slab, track the phase of the k=1 Fourier mode of A_y, which is
+that of H_y plus pi, at every step, fit the phase slope, and compare the
+distance between the final and initial states against the perturbation
+amplitude.
 """
 
 import numpy as np
@@ -59,7 +61,7 @@ def main():
     fig, ax = plt.subplots(figsize=(6, 3.5))
     ax.plot(times, phases, lw=0.8)
     ax.set_xlabel("t")
-    ax.set_ylabel("phase of H_y (k=1)")
+    ax.set_ylabel("phase of A_y (k=1)")
     ax.set_title("Alfven wave: linear phase drift at v_A")
     fig.tight_layout()
     fig.savefig("alfven_phase.png", dpi=130)

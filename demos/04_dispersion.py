@@ -4,9 +4,11 @@ The numerical dispersion tool nudges a uniform rest state along each
 cos/sin mode of each field component, projects the response back, and
 takes eigenvalues of the resulting 16x16 matrix.  An independent 8x8
 analytic matrix (exact for the discrete stencils) provides the oracle.
+Both systems evolve the vector potential A, so their oracles differ only
+in the force row.
 
 Headline: for waves along a uniform field the traditional system carries
-transverse modes at v_A, while the potential formulation -- with the
+transverse modes at v_A, while the modified force law -- with the
 background potential in the symmetric gauge -- carries them at
 v_A/sqrt(2).  The spectrum depends on the gauge of the background
 potential, which is the point: the two systems are different physics.

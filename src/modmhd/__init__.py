@@ -4,8 +4,8 @@ The modified system evolves the vector potential directly,
 dA/dt = v x curl A in the gauge phi = 0, div A = 0, and drives the
 fluid with the advective current force -(1/c)(j . grad)A instead of the
 Lorentz force.  The traditional ideal-MHD system lives alongside it on
-the same grid, operators, and time stepper, so the two force laws and
-induction laws can be compared like for like: linear waves, dispersion
+the same unknowns, grid, operators, and time stepper, differing only in
+the force law, so the two can be compared like for like: linear waves, dispersion
 relations, conservation behavior, and the tension between the two gauge
 conditions are all measurable rather than assumed.
 

@@ -1,4 +1,4 @@
-"""Scalar diagnostics recorded along a run."""
+"""Scalar diagnostics recorded along a run; one record serves both formulations."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import numpy as np
 
 from . import electromagnetics as em
 from . import operators as ops
-from .params import Formulation, PhysParams
+from .params import PhysParams
 from .projection import _gradient_part_norm
 from .state import SimState
 
@@ -18,13 +18,15 @@ FOUR_PI = em.FOUR_PI
 class DiagnosticsRecord:
     """One row of run diagnostics.
 
+    Both formulations evolve A, so every row reports div A and ohm_resid.
     ohm_resid is the L2 gap between the gauge-consistent electric field
     -(1/c) P[v x H] (P = solenoidal projection of the induction RHS) and
     the ideal-Ohm field -(1/c) v x H, i.e. (1/c)||grad phi||_2 of the
     projection potential, summed from the projection's Fourier form
     without forming phi.  It measures the tension between the phi = 0,
-    div A = 0 gauge pair for the modified system; traditional runs report
-    0.  entropy is the raw integral of rho*ln(P rho^-gamma); run() shifts
+    div A = 0 gauge pair: the rate at which dA/dt = v x H grows A's
+    gradient part, which ``run`` projects away in modified runs only.
+    entropy is the raw integral of rho*ln(P rho^-gamma); run() shifts
     it so the record of its initial state reads zero, whatever that
     state's t (only drift is meaningful).  The field order is the column
     order of diagnostics.csv.
@@ -72,47 +74,23 @@ def diagnostics(
     h_tot = state.h_total(order)
 
     mass = ops.integrate(state.rho, g)
-    momx = ops.integrate(state.rho * state.v[0], g)
-    momy = ops.integrate(state.rho * state.v[1], g)
-    momz = ops.integrate(state.rho * state.v[2], g)
+    momx, momy, momz = (ops.integrate(state.rho * vc, g) for vc in state.v)
     e_kin = 0.5 * ops.integrate(state.rho * ops.dot(state.v, state.v), g)
     e_mag = ops.integrate(ops.dot(h_tot, h_tot), g) / (2.0 * FOUR_PI)
     e_int = ops.integrate(state.p, g) / (params.gamma - 1.0)
     entropy = ops.integrate(
         state.rho * (np.log(state.p) - params.gamma * np.log(state.rho)), g
     )
-
-    divh = ops.div(h_tot, g, order)
-    divh_l2 = ops.l2_norm(divh, g)
-
-    if state.formulation is Formulation.MODIFIED:
-        diva = ops.div(state.mag, g, order)
-        diva_l2 = ops.l2_norm(diva, g)
-        diva_max = ops.max_norm(diva)
-        ohm = _gradient_part_norm(ops.cross(state.v, h_tot), g, order)
-    else:
-        diva_l2 = 0.0
-        diva_max = 0.0
-        ohm = 0.0
-
+    diva = ops.div(state.mag, g, order)
+    diva_l2 = ops.l2_norm(diva, g)
     if gauge_drift is None:
         gauge_drift = diva_l2
 
     return DiagnosticsRecord(
-        t=state.t,
-        dt=dt,
-        mass=mass,
-        momx=momx,
-        momy=momy,
-        momz=momz,
-        e_kin=e_kin,
-        e_mag=e_mag,
-        e_int=e_int,
-        e_tot=e_kin + e_mag + e_int,
-        divA_l2=diva_l2,
-        divA_max=diva_max,
-        divH_l2=divh_l2,
-        ohm_resid=ohm,
-        gauge_drift=gauge_drift,
-        entropy=entropy,
+        t=state.t, dt=dt, mass=mass, momx=momx, momy=momy, momz=momz,
+        e_kin=e_kin, e_mag=e_mag, e_int=e_int, e_tot=e_kin + e_mag + e_int,
+        divA_l2=diva_l2, divA_max=ops.max_norm(diva),
+        divH_l2=ops.l2_norm(ops.div(h_tot, g, order), g),
+        ohm_resid=_gradient_part_norm(ops.cross(state.v, h_tot), g, order),
+        gauge_drift=gauge_drift, entropy=entropy,
     )

@@ -8,7 +8,8 @@ use any ``BackgroundPotential``.  The grid is the state's own.  Two
 independent routes to the same answer:
 
 * ``oracle_omegas`` -- the 8x8 complex mode matrix of the linearized
-  semidiscrete equations, written down analytically.  First-derivative
+  semidiscrete equations, written down analytically.  The two
+  formulations share it except for the force row.  First-derivative
   stencils act on a plane wave exp(i k.x) as multiplication by i*ktilde
   with the modified wavenumber ktilde = sin(k h)/h (order 2) or
   (8 sin(k h) - sin(2 k h))/(6 h) (order 4), so the oracle is exact for
@@ -94,9 +95,8 @@ def oracle_matrix(background: SimState, modes, params: PhysParams) -> np.ndarray
 
     ``background`` is a uniform rest state (e.g. ``uniform_rest(...).state``)
     on the grid whose stencils the matrix describes.  Rows/columns are
-    ordered (mag_x, mag_y, mag_z, v_x, v_y, v_z, rho, P) with mag = A-hat
-    (modified) or H-hat (traditional).  A grid too small for the stencil
-    order raises ValueError.
+    ordered (A_x, A_y, A_z, v_x, v_y, v_z, rho, P).  A grid too small for
+    the stencil order raises ValueError.
     """
     grid = background.grid
     grid.require_order(params.stencil_order)
@@ -105,15 +105,13 @@ def oracle_matrix(background: SimState, modes, params: PhysParams) -> np.ndarray
     rho0, p0, h0 = _rest_values(background)
     L = np.zeros((8, 8), dtype=complex)
 
-    if background.formulation is Formulation.MODIFIED:
-        # dA = v x H0; dv = -(1/(4 pi rho0)) M (|kt|^2 I - kt kt^T) A - i kt P/rho0
-        L[0:3, 3:6] = -_skew(h0)
-        proj = np.dot(kt, kt) * np.eye(3) - np.outer(kt, kt)
-        L[3:6, 0:3] = -(background.bg.matrix @ proj) / (FOUR_PI * rho0)
-    else:
-        # dH = i kt x (v x H0); dv = i (kt x H) x H0 / (4 pi rho0) - i kt P/rho0
-        L[0:3, 3:6] = -1j * (_skew(kt) @ _skew(h0))
-        L[3:6, 0:3] = -1j * (_skew(h0) @ _skew(kt)) / (FOUR_PI * rho0)
+    # dA = v x H0; 4 pi j = curl curl A = (|kt|^2 I - kt kt^T) A, and the
+    # linearized force is -F j: F = M for -(j.grad)A0, skew(H0) for j x H0
+    L[0:3, 3:6] = -_skew(h0)
+    proj = np.dot(kt, kt) * np.eye(3) - np.outer(kt, kt)
+    force = (background.bg.matrix if background.formulation is Formulation.MODIFIED
+             else _skew(h0))
+    L[3:6, 0:3] = -(force @ proj) / (FOUR_PI * rho0)
 
     L[3:6, 7] = -1j * kt / rho0
     L[6, 3:6] = -1j * rho0 * kt
@@ -168,10 +166,7 @@ def _amplitudes(background: SimState, kvec, params: PhysParams) -> np.ndarray:
     speed = np.sqrt(params.gamma * p0 / rho0)
     speed += np.linalg.norm(h0) / np.sqrt(FOUR_PI * rho0)
     kmag = float(np.linalg.norm(np.asarray(kvec, dtype=float)))
-    if background.formulation is Formulation.MODIFIED:
-        mag_scale = speed * np.sqrt(FOUR_PI * rho0) / kmag
-    else:
-        mag_scale = speed * np.sqrt(FOUR_PI * rho0)
+    mag_scale = speed * np.sqrt(FOUR_PI * rho0) / kmag
     return np.array([mag_scale] * 3 + [speed] * 3 + [rho0, p0])
 
 

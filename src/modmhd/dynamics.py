@@ -1,31 +1,30 @@
 """Time integration of the two formulations.
 
-Modified system (state carries A, background M):
+Both systems evolve the periodic vector potential A (background M) with
+the same induction law and fluid lines:
 
     dA/dt   = v x H,                H = curl A + H0
-    dv/dt   = -(v.grad)v - grad(P)/rho + f/rho,
-              f = -(1/c) (j.grad)(A + A0),   j = (c/4pi) curl curl A
+    dv/dt   = -(v.grad)v - grad(P)/rho + f/rho,   j = (c/4pi) curl curl A
     drho/dt = -div(rho v)
     dP/dt   = -v.grad(P) - gamma P div(v)
 
-Traditional system (state carries H; of the background it reads only H0):
+They differ in the force law alone:
 
-    dH/dt   = curl(v x H_total)
-    dv/dt   = -(v.grad)v - grad(P)/rho + (curl H x H_total)/(4pi rho)
+    modified:     f = -(1/c) (j.grad)(A + A0)
+    traditional:  f = (1/c) j x H
 
-with the same continuity and adiabatic pressure equations.  One
-``compute_rhs`` serves both: only the induction and force laws branch on
-the formulation, and the fluid lines are written once.  Each field is
-differentiated once per RHS (30 stencil derivatives modified, 27
-traditional): one Jacobian of A gives curl A and (j.grad)A through the
-curl and contraction code of ``operators``, and div v is summed from the
-diagonal that (v.grad)v already takes.  Both are
+With the Lorentz force H = curl A obeys dH/dt = curl(v x H): the
+traditional system is ideal MHD written in A.  One ``compute_rhs`` serves
+both, and only its force line branches.  Each field is differentiated
+once per RHS (30 stencil derivatives modified, 27 traditional): curl A
+is taken from A's derivatives (all nine, as the modified (j.grad)A needs
+them), and div v from the diagonal that (v.grad)v takes.  Both are
 marched with classical RK4 (method of lines).  div A = 0 is not one of
-the evolved equations: ``run`` re-imposes it by projection after the
-completed steps its gauge policy names, never inside RK stages, and
-records the pre-projection drift.  ``step_rk4`` never projects, so a
-hand-written loop calls ``enforce_gauge`` itself.  The split is first
-order in time (see ``tests/test_dynamics.py``).
+the evolved equations: ``run`` re-imposes it on a modified state by
+projection after the completed steps its gauge policy names, never
+inside RK stages, and records the pre-projection drift.  ``step_rk4``
+never projects, so a hand-written loop calls ``enforce_gauge`` itself.
+The split is first order in time (see ``tests/test_dynamics.py``).
 
 The induction/force half and the fluid half of the RHS are independent
 until the force joins dv/dt.  On grids of more than 32^3 points, when the
@@ -74,7 +73,7 @@ from .state import SimState, StateInvalidError, validate_state
 FOUR_PI = em.FOUR_PI
 
 #: Time derivative of the evolved fields, in ``SimState.fields`` order;
-#: mag is dA/dt or dH/dt.
+#: mag is dA/dt.
 Rhs = namedtuple("Rhs", ["mag", "v", "rho", "p"])
 
 
@@ -122,34 +121,28 @@ def _keep_freed_heap() -> None:
 
 
 def _induction_and_force(state: SimState, params: PhysParams):
-    """The formulation's own half of the RHS: (d mag/dt, force density)."""
+    """The magnetic half of the RHS: (dA/dt, force density)."""
     g = state.grid
     o = params.stencil_order
-    if state.formulation is Formulation.MODIFIED:
-        # one Jacobian of A gives curl A and the force; j is taken from curl A
-        # before H0 joins it, as (x + H0) - (y + H0) is not bitwise x - y
-        da = ops._jacobian(state.mag, g, o)
-        curl_a = ops._curl(da, np.empty(state.mag.shape))
-        j = ops.curl(curl_a, g, o)
-        j *= 1.0 / FOUR_PI
-        # force_modified's sum, with the Jacobian freed before A0's term
+    modified = state.formulation is Formulation.MODIFIED
+    # the modified contraction needs all nine derivatives of A, the curl six
+    da = (ops._jacobian if modified else ops._stencil)(state.mag, g, o)
+    h_tot = ops._curl(da, np.empty(state.mag.shape))
+    # j is taken from curl A before H0 joins it, as (x + H0) - (y + H0) is
+    # not bitwise x - y
+    j = ops.curl(h_tot, g, o)
+    j *= 1.0 / FOUR_PI
+    h_tot += state.bg.uniform_field[:, None, None, None]
+    if modified:
+        # -(j.grad)(A + A0), with the Jacobian freed before A0's term
         force = ops._contract(j, da)
         del da
         force += state.bg.advected_by(j)
         np.negative(force, out=force)
-        del j
-        h_tot = curl_a
-        h_tot += state.bg.uniform_field[:, None, None, None]
-        dmag = ops.cross(state.v, h_tot)
     else:
-        # the force first, so that H_tot is freed before curl(v x H_tot)
-        h_tot = state.mag + state.bg.uniform_field[:, None, None, None]
-        force = ops.cross(ops.curl(state.mag, g, o), h_tot)
-        force /= FOUR_PI
-        dmag = ops.cross(state.v, h_tot)
-        del h_tot
-        dmag = ops.curl(dmag, g, o)
-    return dmag, force
+        force = ops.cross(j, h_tot)
+    del j
+    return ops.cross(state.v, h_tot), force
 
 
 def compute_rhs(state: SimState, params: PhysParams) -> Rhs:
@@ -214,22 +207,31 @@ def compute_rhs(state: SimState, params: PhysParams) -> Rhs:
 
 
 def cfl_dt(state: SimState, params: PhysParams) -> float:
-    """dt = courant * h_min / max(|v| + v_alfven + c_sound) over the grid."""
+    """dt = courant * h_min / max(|v| + v_alfven + c_sound) over the grid.
+
+    H is dropped once |H|^2 is formed; the speeds are summed in place.
+    """
     h_tot = state.h_total(params.stencil_order)
-    speed = np.sqrt(ops.dot(state.v, state.v))
-    speed += np.sqrt(ops.dot(h_tot, h_tot) / (FOUR_PI * state.rho))
-    speed += np.sqrt(params.gamma * state.p / state.rho)
+    h2 = ops.dot(h_tot, h_tot)
+    del h_tot
+    speed = ops.dot(state.v, state.v)
+    np.sqrt(speed, out=speed)
+    term = np.multiply(FOUR_PI, state.rho)
+    h2 /= term
+    speed += np.sqrt(h2, out=h2)
+    del h2
+    np.multiply(params.gamma, state.p, out=term)
+    term /= state.rho
+    speed += np.sqrt(term, out=term)
     return params.courant * state.grid.min_spacing / float(speed.max())
 
 
 def enforce_gauge(state: SimState, params: PhysParams) -> tuple[SimState, float]:
     """Project A back onto div A = 0; returns (state, pre-projection drift).
 
-    curl A (hence H and the physics) is unchanged to roundoff; only the
-    gradient part of A moves.
+    curl A (hence H and the physics of either formulation) is unchanged to
+    roundoff; only the gradient part of A moves.
     """
-    if state.formulation is not Formulation.MODIFIED:
-        raise ValueError("gauge enforcement applies to the modified formulation only")
     g = state.grid
     drift = ops.l2_norm(ops.div(state.mag, g, params.stencil_order), g)
     a_proj, _ = helmholtz_project(state.mag, g, params.stencil_order)
@@ -348,6 +350,8 @@ def run(
             state = step_rk4(state, dt, params, source=source)
             step += 1
             drift = None
+            # the Lorentz force does not see A's gradient part, which grows
+            # in a traditional run; projecting it would only cost time
             if state.formulation is Formulation.MODIFIED and params.gauge.due(step):
                 state, drift = enforce_gauge(state, params)
             if final:

@@ -1,16 +1,17 @@
 """Fields and forces derived from the vector potential.
 
-The magnetic degree of freedom of the modified formulation is the vector
-potential in the phi = 0 gauge,
+The magnetic unknown of both formulations is the vector potential in the
+phi = 0 gauge,
 
-    H = curl A,     j = (c/4pi) curl curl A,     E = -(1/c) dA/dt,
+    H = curl A,     j = (c/4pi) curl curl A,     E = -(1/c) dA/dt.
 
-and the force density on the fluid is the advective current force
+The modified force density on the fluid is the advective current force
 
     f = -(1/c) (j . grad) A
 
-instead of the Lorentz force (1/c) j x H.  c cancels once j is composed, so
-the package sets c = 1.  The two forces are related pointwise by
+in place of the traditional Lorentz force (1/c) j x H.  c cancels once j
+is composed, so the package sets c = 1.  The two forces are related
+pointwise by
 
     (j . grad) A = grad_contract(j, A) - j x curl A,
 

@@ -9,11 +9,11 @@ from .grid import STENCIL_ORDERS_TEXT, STENCIL_POINTS
 
 
 class Formulation(enum.Enum):
-    """Which induction/force pairing a state evolves under.
+    """Which force law a state evolves under.
 
-    MODIFIED evolves the vector potential A (gauge phi = 0, div A = 0) with
-    the advective current force -(1/c)(j.grad)A.  TRADITIONAL evolves the
-    magnetic field H directly with the Lorentz force (1/c) j x H.
+    Both evolve the vector potential A (gauge phi = 0) by dA/dt = v x H.
+    MODIFIED applies the advective current force -(1/c)(j.grad)A and keeps
+    div A = 0; TRADITIONAL applies the Lorentz force (1/c) j x H.
     """
 
     MODIFIED = "modified"
@@ -22,7 +22,7 @@ class Formulation(enum.Enum):
 
 @dataclass(frozen=True)
 class GaugePolicy:
-    """When ``run`` re-projects A onto div A = 0 during time stepping.
+    """When ``run`` re-projects a modified state's A onto div A = 0.
 
     ``run`` projects after every ``every``-th completed RK4 step (never
     inside stages; ``step_rk4`` never projects); ``every = 0`` turns it

@@ -1,4 +1,4 @@
-"""Periodic Poisson solve and Helmholtz projection.
+"""Periodic Poisson solve, Helmholtz projection and inverse curl.
 
 The projection enforces the solenoidal gauge div A = 0: given V, solve
 lap(phi) = div(V) and subtract grad(phi).  The discrete Laplacian here is
@@ -29,12 +29,10 @@ from . import operators as ops
 from .grid import GridSpec
 
 
-def _symbol(grid: GridSpec, order: int) -> np.ndarray:
-    """Fourier symbol of div(grad(.)) on the rfftn half-spectrum.
-
-    Null-space modes get an infinite symbol, so dividing by it zeroes them.
-    """
-    kt2 = []
+def _wavenumbers(grid: GridSpec, order: int) -> list[np.ndarray]:
+    """Per-axis modified wavenumbers on the rfftn half-spectrum, each shaped
+    to broadcast along its own axis."""
+    kts = []
     lengths = (grid.lx, grid.ly, grid.lz)
     for axis, (n, h) in enumerate(zip(grid.shape, grid.spacings)):
         # integer mode numbers in rfftn order (the last axis is halved)
@@ -46,10 +44,30 @@ def _symbol(grid: GridSpec, order: int) -> np.ndarray:
         # the stencil annihilates the Nyquist mode exactly, but sin(pi) is
         # not exactly 0 in floating point
         kt[2 * np.abs(m) == n] = 0.0
-        kt2.append(kt * kt)
-    lap = -(kt2[0][:, None, None] + kt2[1][None, :, None] + kt2[2][None, None, :])
+        kts.append(kt.reshape([-1 if i == axis else 1 for i in range(3)]))
+    return kts
+
+
+def _symbol(grid: GridSpec, order: int) -> np.ndarray:
+    """Fourier symbol of div(grad(.)) on the rfftn half-spectrum.
+
+    Null-space modes get an infinite symbol, so dividing by it zeroes them.
+    """
+    kx, ky, kz = _wavenumbers(grid, order)
+    lap = -(kx * kx + ky * ky + kz * kz)
     lap[lap == 0.0] = np.inf
     return lap
+
+
+def _inverse_curl(h: np.ndarray, grid: GridSpec, order: int) -> np.ndarray:
+    """The zero-mean solenoidal A whose stencil curl is the solenoidal part of H:
+    A_m = i kt x H_m / |kt|^2, with the null-space modes zeroed as in ``_symbol``."""
+    h_hat = np.fft.rfftn(h, axes=(1, 2, 3))
+    kt = _wavenumbers(grid, order)
+    a_hat = np.stack([kt[j] * h_hat[k] - kt[k] * h_hat[j] for _, j, k in ops._CYCLIC])
+    a_hat *= 1j
+    a_hat /= -_symbol(grid, order)
+    return np.fft.irfftn(a_hat, s=grid.shape, axes=(1, 2, 3))
 
 
 def poisson_solve(rhs: np.ndarray, grid: GridSpec, order: int = 2) -> np.ndarray:

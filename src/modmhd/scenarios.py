@@ -1,5 +1,7 @@
 """Initial-condition library for both formulations.
 
+Both formulations evolve the vector potential A, and every builder gives
+them the same A; the twins differ only in the force law the run applies.
 Each builder returns a CaseSetup: the initial SimState plus, where they
 exist, a closed-form solution callback (for convergence studies) and a
 manufactured source callback (added to the RHS each stage).
@@ -21,7 +23,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import operators as ops
 from .electromagnetics import FOUR_PI, BackgroundPotential
 from .grid import GridSpec, full_vector
 from .params import Formulation
@@ -81,16 +82,17 @@ def alfven_wave(
 ) -> CaseSetup:
     """Circularly polarized wave along a mean field B0 x-hat.
 
-    H = B0 x + delta*B0 (cos(kx) y + sin(kx) z), v = -H_perp/sqrt(4 pi rho0):
-    the exact traveling-wave solution of traditional ideal MHD moving at
-    +v_A (an exact nonlinear solution -- |H_perp| is constant, so there is
-    no magnetic-pressure gradient).  The potential twin encodes the same
-    physical H via A_perp = -(delta*B0/k)(cos(kx) y + sin(kx) z), which is
-    exactly solenoidal (it varies along x only).  The twin starts from the
-    traditional velocity, which is not a single traveling wave of the
-    modified system: the modified system's own wave of this form moves at
-    v_A/sqrt(2) and carries v divided by sqrt(2).  No exact solution is
-    attached for the modified formulation.
+    A_perp = -(delta*B0/k)(cos(kx) y + sin(kx) z), exactly solenoidal (it
+    varies along x only), carries H = B0 x + delta*B0 (cos(kx) y + sin(kx) z),
+    and v = -H_perp/sqrt(4 pi rho0): the exact traveling-wave solution of
+    traditional ideal MHD moving at +v_A (an exact nonlinear solution --
+    |H_perp| is constant, so there is no magnetic-pressure gradient).  On
+    the grid the discrete curl of A is H_perp times sin(kh)/(kh), so the
+    traditional twin starts off the continuum wave by that truncation
+    factor.  The modified twin starts from the same A and v, which are not
+    a single traveling wave of the modified system: its own wave of this
+    form moves at v_A/sqrt(2) and carries v divided by sqrt(2).  No exact
+    solution is attached for the modified formulation.
     """
     _check_positive(rho0=rho0, p0=p0)
     if mode == 0:
@@ -107,11 +109,9 @@ def alfven_wave(
         hp[1] = delta * b0 * np.cos(theta)
         hp[2] = delta * b0 * np.sin(theta)
         v = -hp / math.sqrt(FOUR_PI * rho0)
-        mag = hp
-        if formulation is Formulation.MODIFIED:
-            mag = np.zeros(g.vshape)
-            mag[1] = -(delta * b0 / k) * np.cos(theta)
-            mag[2] = -(delta * b0 / k) * np.sin(theta)
+        mag = np.zeros(g.vshape)
+        mag[1] = -(delta * b0 / k) * np.cos(theta)
+        mag[2] = -(delta * b0 / k) * np.sin(theta)
         return _mag_state(
             g, formulation, mag, v, np.full(g.shape, rho0), np.full(g.shape, p0),
             (b0, 0.0, 0.0), t=t,
@@ -178,8 +178,7 @@ def random_solenoidal(
     Re sum_m (c0 - i c1) e^{i kx x} e^{i ky y} e^{i kz z}; its bits differ
     by roundoff from versions that summed full-grid cos/sin per mode (on
     2 pi boxes, where the modes are the same).  A is then
-    Helmholtz-projected; the traditional twin takes H = discrete curl(A),
-    making its divergence a roundoff quantity by construction.
+    Helmholtz-projected, so both twins start in the Coulomb gauge.
     """
     _check_positive(rho0=rho0, p0=p0)
     if k_max < 1:
@@ -219,10 +218,9 @@ def random_solenoidal(
     a = draw_field()
     v = draw_field()
     a, _ = helmholtz_project(a, grid, order)
-    mag = ops.curl(a, grid, order) if formulation is Formulation.TRADITIONAL else a
 
     state = _mag_state(
-        grid, formulation, mag, v, np.full(grid.shape, rho0), np.full(grid.shape, p0),
+        grid, formulation, a, v, np.full(grid.shape, rho0), np.full(grid.shape, p0),
         (b0, 0.0, 0.0),
     )
     return CaseSetup(state=state)
@@ -240,19 +238,19 @@ def orszag_tang_like(
 
     A_z = a0 (cos(2 ky y) / 2 + cos(kx x)), v = v0 (-sin(ky y), sin(kx x), 0),
     periodic on any box; on a 2 pi box this is cos 2y / 2 + cos x and so
-    on.  The standard nonlinear comparison workload between the two force
-    laws; z-derivatives vanish identically at t = 0.
+    on.  z-derivatives vanish identically at t = 0.
+
+    The modified force of this planar state is identically zero: A is
+    along z and varies in x and y only, so j is along z and
+    -(j.grad)(A + A0) = -j_z d_z(A + A0) = 0 with A0 = 0, and v x H stays
+    along z, so A does.  The modified twin is hydrodynamics carrying a
+    passive A_z; only the traditional twin feels a magnetic force.
     """
     _check_positive(rho0=rho0, p0=p0)
     x, y, _ = grid.meshes()
     kx, ky = 2.0 * math.pi / grid.lx, 2.0 * math.pi / grid.ly
     mag = np.zeros(grid.vshape)
-    if formulation is Formulation.MODIFIED:
-        mag[2] = a0 * (np.cos(2.0 * ky * y) / 2.0 + np.cos(kx * x))
-    else:
-        # hand-derived curl: H = (dAz/dy, -dAz/dx, 0)
-        mag[0] = -a0 * ky * np.sin(2.0 * ky * y)
-        mag[1] = a0 * kx * np.sin(kx * x)
+    mag[2] = a0 * (np.cos(2.0 * ky * y) / 2.0 + np.cos(kx * x))
     v = np.zeros(grid.vshape)
     v[0] = -v0 * np.sin(ky * y)
     v[1] = v0 * np.sin(kx * x)
@@ -298,12 +296,12 @@ def manufactured(
         H0  = (0.3, 0, 0)
 
     A is exactly solenoidal, so the run is a Coulomb-gauge trajectory; the
-    traditional twin evolves H = curl A.  The source S_q = dq/dt - RHS(q) is
-    the continuum RHS in product-rule form, independent of ``dynamics`` and
-    the stencils: each field is a time factor times a spatial shape, whose
-    derivatives are exact FFT derivatives taken once per case.  ``gamma``
-    must equal the run's physics parameter; ``exact`` and ``source``
-    accept only ``grid``.
+    two formulations' sources differ in the force only.  The source
+    S_q = dq/dt - RHS(q) is the continuum RHS in product-rule form,
+    independent of ``dynamics`` and the stencils: each field is a time
+    factor times a spatial shape, whose derivatives are exact FFT
+    derivatives taken once per case.  ``gamma`` must equal the run's
+    physics parameter; ``exact`` and ``source`` accept only ``grid``.
     """
     lengths = (grid.lx, grid.ly, grid.lz)
     phase = [(2.0 * math.pi / L) * x for L, x in zip(lengths, grid.meshes())]
@@ -335,27 +333,21 @@ def manufactured(
     div_v = sum(grad(vi)[i] for i, vi in enumerate(v_hat))
     grad_p = grad(p_hat)
     v_grad_rho, v_grad_p = dot(v_hat, grad(rho_hat)), dot(v_hat, grad_p)
-    # with A = alpha a_hat and v = beta v_hat, dmag/dt - RHS_mag is
-    # alpha' mag_hat - alpha beta x1 - beta x0; the force is alpha^2 f2 + alpha f1
+    # with A = alpha a_hat and v = beta v_hat, dA/dt - RHS_A is
+    # alpha' a_hat - alpha beta x1 - beta x0; the force is alpha^2 f2 + alpha f1
+    x1, x0 = cross(v_hat, h_hat), cross(v_hat, h0)
     if formulation is Formulation.MODIFIED:
-        mag_hat = a_hat
-        x1, x0 = cross(v_hat, h_hat), cross(v_hat, h0)
         # f = -[(j.grad)A + M j]/c with j = (c/4pi) curl H and M j = (H0 x j)/2;
         # c cancels, so j and f are taken at c = 1
         j_hat = [(1.0 / FOUR_PI) * g for g in curl_h]
         f2 = [-g for g in along(j_hat, a_hat)]
         f1 = [-0.5 * g for g in cross(h0, j_hat)]
     else:
-        # curl(v x H_tot) = (H_tot.grad)v - (v.grad)H - H_tot div v
-        mag_hat = h_hat
-        x1 = [a - b - h * div_v for a, b, h in
-              zip(along(h_hat, v_hat), along(v_hat, h_hat), h_hat)]
-        x0 = [a - h * div_v for a, h in zip(along(h0, v_hat), h0)]
         f2 = [g / FOUR_PI for g in cross(curl_h, h_hat)]
         f1 = [g / FOUR_PI for g in cross(curl_h, h0)]
-    adv_v, mag_hat, v_hat, x1, x0, f2, f1, grad_p = (
+    adv_v, a_hat, v_hat, x1, x0, f2, f1, grad_p = (
         full_vector(grid, u)
-        for u in (along(v_hat, v_hat), mag_hat, v_hat, x1, x0, f2, f1, grad_p))
+        for u in (along(v_hat, v_hat), a_hat, v_hat, x1, x0, f2, f1, grad_p))
     rho_hat, p_hat = (np.broadcast_to(f, grid.shape) for f in (rho_hat, p_hat))
 
     def factors(g: GridSpec, t: float):
@@ -370,13 +362,13 @@ def manufactured(
 
     def exact(g: GridSpec, t: float) -> SimState:
         al, be, r, q = factors(g, t)[:4]
-        return _mag_state(g, formulation, al * mag_hat, be * v_hat, 1.0 + r * rho_hat,
+        return _mag_state(g, formulation, al * a_hat, be * v_hat, 1.0 + r * rho_hat,
                           1.0 + q * p_hat, h0, t=t)
 
     def source(g: GridSpec, t: float):
         al, be, r, q, dal, dbe, dr, dq = factors(g, t)
         rho = 1.0 + r * rho_hat
-        s_mag = dal * mag_hat - (al * be) * x1 - be * x0
+        s_mag = dal * a_hat - (al * be) * x1 - be * x0
         s_v = dbe * v_hat + (be * be) * adv_v
         s_v += (q * grad_p - (al * al) * f2 - al * f1) / rho
         s_rho = dr * rho_hat + be * (r * v_grad_rho + rho * div_v)

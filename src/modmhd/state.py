@@ -1,4 +1,8 @@
-"""Simulation state for both formulations."""
+"""Simulation state for both formulations.
+
+Both formulations evolve the same eight unknowns: the periodic vector
+potential A, v, rho and P.  They differ only in the force law.
+"""
 
 from __future__ import annotations
 
@@ -14,7 +18,7 @@ from .params import Formulation
 class StateInvalidError(RuntimeError):
     """A state field is non-finite or violates positivity.
 
-    ``quantity`` names the first offending field ("A", "H", "v", "rho", "P").
+    ``quantity`` names the first offending field ("A", "v", "rho", "P").
     """
 
     def __init__(self, quantity: str, message: str):
@@ -22,20 +26,18 @@ class StateInvalidError(RuntimeError):
         self.quantity = quantity
 
 
-def _field_names(formulation: Formulation) -> tuple[str, str, str, str]:
-    """Names of the evolved fields in ``SimState.fields`` order."""
-    return ("A" if formulation is Formulation.MODIFIED else "H", "v", "rho", "P")
+#: Names of the evolved fields in ``SimState.fields`` order.
+_FIELD_NAMES = ("A", "v", "rho", "P")
 
 
 @dataclass
 class SimState:
     """Fluid + magnetic state on one grid at one time.
 
-    ``mag`` is the evolved magnetic unknown: the periodic vector potential
-    A (modified formulation) or the periodic field H (traditional).  ``bg``
-    is the frozen affine background A0 = M x in both formulations; the
-    traditional system reads only its uniform field H0.  rho and P must be
-    strictly positive everywhere.
+    ``mag`` is the evolved magnetic unknown of both formulations: the
+    periodic vector potential A, with H = curl A + H0.  ``bg`` is the
+    frozen affine background A0 = M x; the traditional system reads only
+    its uniform field H0.  rho and P must be strictly positive everywhere.
 
     ``fields`` is the evolved tuple ``(mag, v, rho, p)``; ``with_fields``
     and ``dynamics.Rhs`` take the same order, so code that acts on every
@@ -56,7 +58,7 @@ class SimState:
             raise TypeError("bg must be a BackgroundPotential, "
                             f"got {type(self.bg).__name__}")
         g = self.grid
-        for name, arr, shape in zip(_field_names(self.formulation), self.fields,
+        for name, arr, shape in zip(_FIELD_NAMES, self.fields,
                                     (g.vshape, g.vshape, g.shape, g.shape)):
             if arr.shape != shape:
                 raise ValueError(f"{name}: expected shape {shape}, got {arr.shape}")
@@ -67,10 +69,8 @@ class SimState:
         return (self.mag, self.v, self.rho, self.p)
 
     def h_total(self, order: int = 2) -> np.ndarray:
-        """Total magnetic field including the uniform background."""
-        if self.formulation is Formulation.MODIFIED:
-            return em.h_from_a(self.mag, self.bg, self.grid, order)
-        return self.mag + self.bg.uniform_field[:, None, None, None]
+        """Total magnetic field curl A + H0."""
+        return em.h_from_a(self.mag, self.bg, self.grid, order)
 
     def with_fields(self, mag: np.ndarray, v: np.ndarray, rho: np.ndarray,
                     p: np.ndarray, t: float) -> "SimState":
@@ -89,7 +89,7 @@ def scalar_components(fields) -> list[np.ndarray]:
 
 def validate_state(state: SimState) -> None:
     """Raise StateInvalidError naming the first offending quantity."""
-    for name, arr in zip(_field_names(state.formulation), state.fields):
+    for name, arr in zip(_FIELD_NAMES, state.fields):
         if not np.isfinite(arr).all():
             raise StateInvalidError(name, f"{name} contains non-finite values")
     if not (state.rho > 0.0).all():

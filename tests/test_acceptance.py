@@ -42,7 +42,7 @@ VA = 1.0 / np.sqrt(4.0 * np.pi)
 
 def test_criterion_1_structural_identities():
     report = identity_suite((16, 32))
-    exact_keys = ("two_fluid_reduction", "induction_consistency")
+    exact_keys = ("two_fluid_reduction", "force_split")
     order_keys = ("div_e_projected", "force_decomposition",
                   "curl_curl_decomposition")
     for key in exact_keys:

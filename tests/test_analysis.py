@@ -79,7 +79,16 @@ def test_identity_suite_all_pass(report):
 
 def test_identity_exact_items_are_roundoff(report):
     assert max(report["two_fluid_reduction"].values) <= 1e-10
-    assert max(report["induction_consistency"].values) <= 1e-10
+    assert max(report["force_split"].values) <= 1e-10
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_force_split_is_exact_on_a_non_cubic_box(order):
+    # f_mod = (1/2) j x H - S j on a box with three spacings, with the
+    # suite's non-antisymmetric background, whose S j is a large share of f
+    g = GridSpec(16, 12, 8, TWO_PI, 3.0, 2.0)
+    a = random_solenoidal(g, Formulation.MODIFIED, amplitude=0.3, order=order).state.mag
+    assert analysis._force_split_residual(a, analysis._test_background(), g, order) <= 1e-13
 
 
 def test_identity_order_items_converge(report):

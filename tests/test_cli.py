@@ -230,7 +230,7 @@ def test_identities_pass_and_write_csv(tmp_path, capsys):
     assert "identity suite" in capsys.readouterr().out
     rows = _read_rows(out / "identities.csv")
     keys = {r["identity"] for r in rows}
-    assert "force_decomposition" in keys
+    assert {"force_decomposition", "force_split"} <= keys
     assert all(r["passed"] == "1" for r in rows)
 
 
@@ -243,7 +243,7 @@ def test_identities_empty_resolutions_is_config_error(tmp_path, capsys):
 
 def test_broken_curl_is_caught_by_identities(tmp_path, capsys, monkeypatch):
     # a deliberate sign fault in one stencil must trip the checks, and the
-    # report must finger the one identity whose algebra sees the flip
+    # report must finger the two force identities whose algebra sees the flip
     import modmhd.operators as ops_mod
 
     orig = ops_mod.curl
@@ -253,7 +253,7 @@ def test_broken_curl_is_caught_by_identities(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert rc == 1
     assert "FAILED identities:" in err
-    assert "force_decomposition" in err
+    assert "force_decomposition" in err and "force_split" in err
 
 
 def test_dispersion_writes_both_formulations(tmp_path, capsys):

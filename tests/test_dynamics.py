@@ -95,7 +95,7 @@ def test_state_shape_checks(formulation, name):
     fields = _rest_fields(g)
     # a vector where a scalar belongs, or the other way round
     fields[name] = np.ones(g.shape if fields[name].ndim == 4 else g.vshape)
-    shown = {"mag": "A" if formulation is Formulation.MODIFIED else "H", "p": "P"}
+    shown = {"mag": "A", "p": "P"}
     with pytest.raises(ValueError, match=f"^{shown.get(name, name)}: expected shape"):
         SimState(grid=g, formulation=formulation, **fields)
 
@@ -183,7 +183,7 @@ def test_rhs_modified_matches_public_assembly_bitwise(order):
 
 @pytest.mark.parametrize("order", [2, 4])
 def test_fluid_rhs_is_shared_without_magnetic_field(order):
-    # with A = 0 or H = 0 and a zero background, the two systems
+    # with A = 0 and a zero background, the two systems
     # reduce to the same compressible Euler equations, bitwise
     g = GridSpec(12, 10, 9, 1.0, 2.5, 7.0)
     rng = np.random.default_rng(11)
@@ -206,7 +206,7 @@ def test_fluid_rhs_is_shared_without_magnetic_field(order):
 def test_rhs_takes_each_first_derivative_once(formulation, calls, order, monkeypatch):
     # modified: 9 for the Jacobian of A, 6 for j = curl curl A; both: 3 for
     # grad P, 9 for (v.grad)v, which also gives div v, and 3 for div(rho v);
-    # traditional: 6 + 6 for its two curls
+    # traditional: 6 for curl A and 6 for j
     st = random_solenoidal(GridSpec(12, 10, 9, 1.0, 2.5, 7.0), formulation,
                            b0=0.5, amplitude=0.3, seed=1, order=order).state
     seen = []
@@ -244,6 +244,28 @@ def test_continuity_against_analytic_gradient():
 _RHS_PEAK_FIELDS = {(Formulation.TRADITIONAL, 2): 14.5, (Formulation.TRADITIONAL, 4): 14.9,
                     (Formulation.MODIFIED, 2): 19.5, (Formulation.MODIFIED, 4): 19.5}
 
+#: Peak of ``cfl_dt`` above its entry, in scalar fields: H (3 fields) and the
+#: two arrays of |H|^2, plus the order-4 stencil's scratch while curl A is
+#: taken.
+_CFL_PEAK_FIELDS = {2: 5.5, 4: 5.9}
+
+
+def _peak_fields(fn, st, params):
+    """(result, peak of fn(st, params) above its entry in scalar fields), warmed up."""
+    fn(st, params)
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        entry = tracemalloc.get_traced_memory()[0]
+        out = fn(st, params)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        if started:
+            tracemalloc.stop()
+    return out, peak / (8 * st.grid.npoints)
+
 
 @pytest.mark.parametrize("order", [2, 4])
 @pytest.mark.parametrize("formulation", list(Formulation))
@@ -253,21 +275,21 @@ def test_rhs_scratch_footprint(formulation, order):
     st = random_solenoidal(g, formulation, amplitude=0.3, order=order).state
     params = PhysParams(stencil_order=order)
     before = st.copy()
-    compute_rhs(st, params)
-    started = not tracemalloc.is_tracing()
-    if started:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        entry = tracemalloc.get_traced_memory()[0]
-        rhs = compute_rhs(st, params)
-        peak = tracemalloc.get_traced_memory()[1] - entry
-    finally:
-        if started:
-            tracemalloc.stop()
+    rhs, peak = _peak_fields(compute_rhs, st, params)
     assert ops.max_norm(rhs.v) > 0.0
-    assert peak / (8 * g.npoints) < _RHS_PEAK_FIELDS[formulation, order]
+    assert peak < _RHS_PEAK_FIELDS[formulation, order]
     # the in-place updates never reach the state's own arrays
+    assert all(np.array_equal(a, b) for a, b in zip(st.fields, before.fields))
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("formulation", list(Formulation))
+def test_cfl_dt_scratch_footprint(formulation, order):
+    st = random_solenoidal(cube(16), formulation, amplitude=0.3, order=order).state
+    before = st.copy()
+    dt, peak = _peak_fields(cfl_dt, st, PhysParams(stencil_order=order))
+    assert dt > 0.0
+    assert peak < _CFL_PEAK_FIELDS[order]
     assert all(np.array_equal(a, b) for a, b in zip(st.fields, before.fields))
 
 
@@ -470,6 +492,51 @@ def test_step_rk4_matches_written_out_combination_bitwise(scenario, formulation)
             assert np.array_equal(f, g)
 
 
+def _h_form_rhs(fields, h0, g, params):
+    """Traditional ideal MHD in H: dH/dt = curl(v x H_tot), force curl H x H_tot / 4 pi."""
+    h, v, rho, p = fields
+    o = params.stencil_order
+    h_tot = h + h0[:, None, None, None]
+    dh = ops.curl(ops.cross(v, h_tot), g, o)
+    force = ops.cross(ops.curl(h, g, o), h_tot) / (4.0 * np.pi)
+    grad_p = ops.grad(p, g, o)
+    dv = -ops.advect(v, v, g, o) - grad_p / rho + force / rho
+    drho = -ops.div(rho * v, g, o)
+    dp = -ops.dot(v, grad_p) - params.gamma * p * ops.div(v, g, o)
+    return dh, dv, drho, dp
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_traditional_run_in_a_matches_the_h_form(order):
+    # the traditional system evolves A with dA/dt = v x H and the force
+    # j x H; its H = curl A follows ideal MHD written in H
+    params = PhysParams(stencil_order=order, gauge=GaugePolicy.off())
+    g = cube(16)
+    st = random_solenoidal(g, Formulation.TRADITIONAL, amplitude=0.1,
+                           seed=3, order=order).state
+    h0 = st.bg.uniform_field
+    ref = (ops.curl(st.mag, g, order), st.v, st.rho, st.p)
+    h_start = ref[0]
+    dt = 0.5 * cfl_dt(st, params)
+
+    def shift(c, k):
+        return tuple(f + c * d for f, d in zip(ref, k))
+
+    for _ in range(40):
+        st = step_rk4(st, dt, params)
+        k1 = _h_form_rhs(ref, h0, g, params)
+        k2 = _h_form_rhs(shift(0.5 * dt, k1), h0, g, params)
+        k3 = _h_form_rhs(shift(0.5 * dt, k2), h0, g, params)
+        k4 = _h_form_rhs(shift(dt, k3), h0, g, params)
+        ref = tuple(f + (dt / 6.0) * (a + 2.0 * b + 2.0 * c + d)
+                    for f, a, b, c, d in zip(ref, k1, k2, k3, k4))
+    got = (ops.curl(st.mag, g, order), st.v, st.rho, st.p)
+    for name, f, r in zip(("H", "v", "rho", "P"), got, ref):
+        assert ops.max_norm(f - r) <= 1e-13 * ops.max_norm(r), name
+    # the run moved H by far more than the tolerance
+    assert ops.max_norm(got[0] - h_start) > 1e-3 * ops.max_norm(h_start)
+
+
 def test_enforce_gauge_removes_injected_gradient():
     g = cube(16)
     x, _, _ = g.meshes()
@@ -497,10 +564,18 @@ def test_enforce_gauge_noop_on_solenoidal():
     assert np.array_equal(out.mag, a)
 
 
-def test_enforce_gauge_traditional_rejected():
-    st = _rest_state(cube(8), Formulation.TRADITIONAL)
-    with pytest.raises(ValueError):
-        enforce_gauge(st, PhysParams())
+def test_enforce_gauge_keeps_traditional_h():
+    # a traditional state carries A too; projecting it moves H by roundoff only
+    g = cube(16)
+    st = random_solenoidal(g, Formulation.TRADITIONAL, amplitude=0.3).state
+    x, y, _ = g.meshes()
+    dirty = st.with_fields(st.mag + ops.grad(np.sin(x) * np.cos(y) + np.zeros(g.shape), g),
+                           st.v, st.rho, st.p, 0.0)
+    clean, drift = enforce_gauge(dirty, PhysParams())
+    assert clean.formulation is Formulation.TRADITIONAL
+    assert drift > 0.1
+    assert ops.l2_norm(ops.div(clean.mag, g), g) < 1e-9
+    assert ops.max_norm(clean.h_total() - st.h_total()) < 1e-12
 
 
 @pytest.mark.parametrize("policy", [

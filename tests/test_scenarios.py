@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import modmhd.dynamics as dynamics
 import modmhd.operators as ops
 import modmhd.scenarios as scenarios
 from modmhd import (
@@ -29,6 +30,7 @@ from modmhd import (
     sound_wave,
     uniform_rest,
 )
+from modmhd.grid import full_vector
 from modmhd.projection import helmholtz_project
 
 from conftest import TWO_PI, cube, slab
@@ -87,15 +89,17 @@ def test_alfven_zero_amplitude_is_uniform_rest():
 
 
 def test_alfven_potential_encodes_target_field():
-    # modified-formulation construction: curl(A) + H0 must reproduce the
-    # target H at the stencil's order
+    # curl(A) + H0 must reproduce the continuum wave's H at the stencil's
+    # order, in both twins, which carry the same A
     errs, spacings = [], []
     for n in (16, 32, 64):
         g = slab(n)
         case = alfven_wave(g, Formulation.MODIFIED, delta=1e-3)
-        target = alfven_wave(g, Formulation.TRADITIONAL, delta=1e-3).state
+        twin = alfven_wave(g, Formulation.TRADITIONAL, delta=1e-3).state
+        assert np.array_equal(twin.mag, case.state.mag)
+        x = g.meshes()[0]
+        h_want = full_vector(g, (1.0, 1e-3 * np.cos(x), 1e-3 * np.sin(x)))
         h = h_from_a(case.state.mag, case.state.bg, g)
-        h_want = target.h_total()
         errs.append(ops.max_norm(h - h_want))
         spacings.append(g.hx)
     assert fit_order(spacings, errs) == pytest.approx(2.0, abs=0.2)
@@ -263,9 +267,11 @@ def test_scenarios_are_band_limited_on_any_box():
 
 
 def test_random_solenoidal_traditional_variant():
+    # the traditional twin carries the modified twin's projected potential
     g = cube(16)
     st = random_solenoidal(g, Formulation.TRADITIONAL).state
-    assert ops.max_norm(ops.div(st.mag, g)) < 1e-12   # curl of the potential
+    assert np.array_equal(st.mag, random_solenoidal(g, Formulation.MODIFIED).state.mag)
+    assert ops.max_norm(ops.div(st.mag, g)) < 1e-12
 
 
 # -- Orszag-Tang-like vortex ---------------------------------------------------------
@@ -279,14 +285,29 @@ def test_orszag_tang_two_dimensional():
 
 
 def test_orszag_tang_field_matches_potential():
+    # the stencil curl of A_z approaches the hand-derived H = (dAz/dy, -dAz/dx, 0)
     errs, spacings = [], []
     for n in (16, 32):
         g = cube(n)
-        st = orszag_tang_like(g, formulation=Formulation.TRADITIONAL).state
-        a = orszag_tang_like(g, formulation=Formulation.MODIFIED).state.mag
-        errs.append(ops.max_norm(ops.curl(a, g) - st.mag))
+        x, y, _ = g.meshes()
+        a = orszag_tang_like(g, formulation=Formulation.TRADITIONAL).state.mag
+        h = full_vector(g, (-0.2 * np.sin(2.0 * y), 0.2 * np.sin(x), 0.0))
+        errs.append(ops.max_norm(ops.curl(a, g) - h))
         spacings.append(g.hx)
     assert fit_order(spacings, errs) == pytest.approx(2.0, abs=0.3)
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_orszag_tang_modified_force_is_zero(order):
+    # A = A_z(x, y) z: j is along z and A + A0 does not vary along z, so
+    # -(j.grad)(A + A0) vanishes; the Lorentz force of the twin does not
+    g = GridSpec(32, 32, 4, TWO_PI, TWO_PI, TWO_PI)
+    params = PhysParams(stencil_order=order)
+    forces = {form: dynamics._induction_and_force(orszag_tang_like(g, form).state,
+                                                  params)[1]
+              for form in Formulation}
+    assert np.all(forces[Formulation.MODIFIED] == 0.0)
+    assert ops.max_norm(forces[Formulation.TRADITIONAL]) > 5e-3
 
 
 def test_orszag_tang_on_2pi_box_is_unchanged():
@@ -296,14 +317,14 @@ def test_orszag_tang_on_2pi_box_is_unchanged():
     x, y, _ = g.meshes()
     a0, v0 = 0.2, 0.3
     a = orszag_tang_like(g, Formulation.MODIFIED, a0=a0, v0=v0).state
-    h = orszag_tang_like(g, Formulation.TRADITIONAL, a0=a0, v0=v0).state
+    twin = orszag_tang_like(g, Formulation.TRADITIONAL, a0=a0, v0=v0).state
     assert np.array_equal(a.mag[2], np.broadcast_to(
         a0 * (np.cos(2.0 * y) / 2.0 + np.cos(x)), g.shape))
-    assert np.array_equal(h.mag[0], np.broadcast_to(-a0 * np.sin(2.0 * y), g.shape))
-    assert np.array_equal(h.mag[1], np.broadcast_to(a0 * np.sin(x), g.shape))
     assert np.array_equal(a.v[0], np.broadcast_to(-v0 * np.sin(y), g.shape))
     assert np.array_equal(a.v[1], np.broadcast_to(v0 * np.sin(x), g.shape))
-    assert not a.mag[:2].any() and not h.mag[2].any() and not a.v[2].any()
+    assert not a.mag[:2].any() and not a.v[2].any()
+    for got, want in zip(twin.fields, a.fields):
+        assert np.array_equal(got, want)
 
 
 def test_orszag_tang_mass():

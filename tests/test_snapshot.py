@@ -9,16 +9,15 @@ import struct
 import numpy as np
 import pytest
 
-from modmhd import (BackgroundPotential, Formulation, SnapshotError, read_snapshot,
-                    write_snapshot)
+import modmhd.operators as ops
+from modmhd import (BackgroundPotential, Formulation, GridSpec, SnapshotError,
+                    random_solenoidal, read_snapshot, write_snapshot)
 from modmhd.snapshot import MAGIC
 
 from conftest import cube, slab
 
 
 def _sample_state(formulation):
-    from modmhd import random_solenoidal
-
     case = random_solenoidal(slab(8), formulation=formulation, seed=42)
     st = case.state
     return st.with_fields(st.mag, st.v, st.rho, st.p, t=0.375)
@@ -40,8 +39,6 @@ def test_round_trip_is_bitwise(tmp_path, formulation):
     assert np.array_equal(back.v, st.v)
     assert np.array_equal(back.rho, st.rho)
     assert np.array_equal(back.p, st.p)
-    # scenarios carry the symmetric gauge, which is what a traditional
-    # file's H0 reads back as
     assert back.bg == st.bg
 
 
@@ -102,16 +99,15 @@ def test_unsupported_version_names_both_versions(tmp_path):
     path = tmp_path / "snap.bin"
     write_snapshot(path, st)
     blob = bytearray(path.read_bytes())
-    blob[len(MAGIC):len(MAGIC) + 4] = struct.pack("<I", 2)
+    blob[len(MAGIC):len(MAGIC) + 4] = struct.pack("<I", 3)
     path.write_bytes(bytes(blob))
-    with pytest.raises(SnapshotError, match="version 2.*reads version 1"):
+    with pytest.raises(SnapshotError, match="version 3.*reads versions 1 and 2"):
         read_snapshot(path)
 
 
-# byte offsets in a v1 snapshot: nx follows the magic and version, lx the
+# byte offsets in a v2 snapshot: nx follows the magic and version, lx the
 # three sizes, t the three lengths, the formulation code the four doubles;
-# the background follows it, and in a modified file the field count
-# follows M
+# the background M follows it, and the field count follows M
 _NX_AT = 12
 _LX_AT = 24
 _T_AT = 48
@@ -145,33 +141,54 @@ def test_corrupt_header_rejected(tmp_path, formulation, offset, patch, message):
         read_snapshot(path)
 
 
+def _landau_state():
+    """A traditional state on the Landau gauge A0 = (0, -z, 0) of H0 = x-hat."""
+    landau = np.zeros((3, 3))
+    landau[1, 2] = -1.0
+    return dataclasses.replace(_sample_state(_TRAD), bg=BackgroundPotential(landau))
+
+
+def _v1_traditional_bytes(st, order=2):
+    """A v1 traditional file of ``st``: H0 and H = curl A in place of M and A."""
+    return _documented_bytes(st, 1, h=ops.curl(st.mag, st.grid, order))
+
+
 def test_traditional_background_reads_back_bitwise(tmp_path):
     # a v1 traditional file stores H0 only; mixed signs and a -0.0 survive
-    # the symmetric gauge it is read back into, and rewrite to the same bytes
+    # the symmetric gauge it is read back into, and a v2 rewrite keeps it
     stored = struct.pack("<3d", 0.3, -0.0, -0.9)
-    path = tmp_path / "snap.bin"
-    write_snapshot(path, _sample_state(_TRAD))
-    blob = bytearray(path.read_bytes())
+    blob = bytearray(_v1_traditional_bytes(_sample_state(_TRAD)))
     blob[_BACKGROUND_AT:_BACKGROUND_AT + 24] = stored
+    path = tmp_path / "snap.bin"
     path.write_bytes(bytes(blob))
     back = read_snapshot(path)
     assert back.bg.uniform_field.astype("<f8").tobytes() == stored
     write_snapshot(tmp_path / "again.bin", back)
-    assert (tmp_path / "again.bin").read_bytes() == bytes(blob)
+    again = read_snapshot(tmp_path / "again.bin")
+    assert again.bg == back.bg
+    assert again.bg.uniform_field.astype("<f8").tobytes() == stored
 
 
 def test_traditional_file_keeps_h0_but_not_the_background_gauge(tmp_path):
-    # a v1 traditional file stores H0 only: the Landau gauge A0 = (0, -z, 0)
-    # of H0 = x-hat comes back as the symmetric gauge of the same H0
-    landau = np.zeros((3, 3))
-    landau[1, 2] = -1.0
-    st = dataclasses.replace(_sample_state(_TRAD), bg=BackgroundPotential(landau))
+    # a v1 traditional file stores H0 only: the Landau gauge of H0 = x-hat
+    # comes back as the symmetric gauge of the same H0
+    st = _landau_state()
     path = tmp_path / "snap.bin"
-    write_snapshot(path, st)
+    path.write_bytes(_v1_traditional_bytes(st))
     back = read_snapshot(path)
     assert back.bg.uniform_field.tobytes() == st.bg.uniform_field.tobytes()
     assert back.bg == BackgroundPotential.from_uniform_field(st.bg.uniform_field)
     assert back.bg != st.bg
+
+
+def test_v2_keeps_the_traditional_background_gauge(tmp_path):
+    st = _landau_state()
+    path = tmp_path / "snap.bin"
+    write_snapshot(path, st)
+    back = read_snapshot(path)
+    assert back.bg == st.bg
+    for got, want in zip(back.fields, st.fields):
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("h0", [(0.3, -0.2, 0.9), (-0.0, 0.0, -0.0),
@@ -213,20 +230,21 @@ def test_round_trip_preserves_cube_grid(tmp_path):
     assert back.grid.nx == 8
 
 
-def _documented_v1_bytes(st):
-    """The v1 layout of the module docstring, assembled field by field."""
+def _documented_bytes(st, version, h=None):
+    """The layout of the module docstring, assembled field by field.  With
+    ``h`` it is a v1 traditional file, which holds H0 and H in place of M and A."""
     g = st.grid
-    modified = st.formulation is Formulation.MODIFIED
-    blob = b"MODMHD1\x00" + struct.pack("<I", 1)
+    blob = b"MODMHD1\x00" + struct.pack("<I", version)
     blob += struct.pack("<3I", g.nx, g.ny, g.nz)
     blob += struct.pack("<4d", g.lx, g.ly, g.lz, st.t)
-    if modified:
-        blob += struct.pack("<B", 0) + struct.pack("<9d", *st.bg.matrix.ravel())
-        mag = "A"
+    blob += struct.pack("<B", 0 if st.formulation is Formulation.MODIFIED else 1)
+    if h is None:
+        blob += struct.pack("<9d", *st.bg.matrix.ravel())
+        mag, prefix = st.mag, "A"
     else:
-        blob += struct.pack("<B", 1) + struct.pack("<3d", *st.bg.uniform_field)
-        mag = "H"
-    named = tuple((mag + axis, st.mag[i]) for i, axis in enumerate("xyz"))
+        blob += struct.pack("<3d", *st.bg.uniform_field)
+        mag, prefix = h, "H"
+    named = tuple((prefix + axis, mag[i]) for i, axis in enumerate("xyz"))
     named += (("vx", st.v[0]), ("vy", st.v[1]), ("vz", st.v[2]),
               ("rho", st.rho), ("P", st.p))
     blob += struct.pack("<I", 8)
@@ -237,14 +255,42 @@ def _documented_v1_bytes(st):
     return blob
 
 
+def _layout_state(formulation, grid=GridSpec(8, 6, 4, 1.0, 2.5, 7.0), order=2):
+    case = random_solenoidal(grid, formulation, b0=0.3, seed=3, order=order)
+    return case.state.with_fields(*case.state.fields, t=3.375)
+
+
 @pytest.mark.parametrize("formulation",
                          [Formulation.MODIFIED, Formulation.TRADITIONAL])
-def test_bytes_follow_documented_v1_layout(tmp_path, formulation):
-    from modmhd import GridSpec, random_solenoidal
-
-    case = random_solenoidal(GridSpec(8, 6, 4, 1.0, 2.5, 7.0), formulation,
-                             b0=0.3, seed=3)
-    st = case.state.with_fields(*case.state.fields, t=3.375)
+def test_bytes_follow_documented_v2_layout(tmp_path, formulation):
+    st = _layout_state(formulation)
     path = tmp_path / "snap.bin"
     write_snapshot(path, st)
-    assert path.read_bytes() == _documented_v1_bytes(st)
+    assert path.read_bytes() == _documented_bytes(st, 2)
+
+
+def test_v1_modified_file_still_reads(tmp_path):
+    st = _layout_state(Formulation.MODIFIED)
+    path = tmp_path / "snap.bin"
+    path.write_bytes(_documented_bytes(st, 1))
+    back = read_snapshot(path)
+    assert back.formulation is Formulation.MODIFIED and back.t == st.t
+    assert back.bg == st.bg
+    for got, want in zip(back.fields, st.fields):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_v1_traditional_file_reads_h_back_as_a(tmp_path, order):
+    # the file holds H = curl A; the reader inverts the order's stencil curl
+    st = _layout_state(Formulation.TRADITIONAL, GridSpec(8, 10, 12, 1.0, 2.5, 7.0), order)
+    h = ops.curl(st.mag, st.grid, order)
+    path = tmp_path / "snap.bin"
+    path.write_bytes(_v1_traditional_bytes(st, order))
+    back = read_snapshot(path, order=order)
+    assert back.formulation is Formulation.TRADITIONAL and back.t == st.t
+    assert ops.max_norm(ops.curl(back.mag, back.grid, order) - h) <= 1e-13 * ops.max_norm(h)
+    assert ops.max_norm(back.mag - st.mag) <= 1e-13 * ops.max_norm(st.mag)
+    assert back.bg == st.bg   # the builder's symmetric gauge
+    for got, want in zip(back.fields[1:], st.fields[1:]):
+        assert np.array_equal(got, want)
