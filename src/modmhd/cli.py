@@ -21,7 +21,8 @@ import numpy as np
 from . import __version__
 from . import snapshot as snap
 from .analysis import convergence_study, format_identity_report, identity_suite
-from .config import RunConfig, ConfigError, parse_config, serialize_config
+from .config import (ConfigError, RunConfig, format_value, parse_config,
+                     serialize_config)
 from .diagnostics import CSV_COLUMNS
 from .dispersion import dispersion, oracle_omegas
 from .dynamics import SimulationError, run
@@ -33,11 +34,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.17g}"
-    return str(x)
-
 
 def _write_text(path: str, text: str) -> None:
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
@@ -46,7 +42,7 @@ def _write_text(path: str, text: str) -> None:
 
 def _write_csv(path: str, header, rows) -> None:
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
+    lines.extend(",".join(format_value(cell) for cell in row) for row in rows)
     _write_text(path, "\n".join(lines) + "\n")
 
 
@@ -111,10 +107,10 @@ def cmd_identities(cfg: RunConfig) -> int:
               "order", "expected_order", "passed")
     rows = []
     for item in report.results:
-        order = "" if item.order is None else _fmt(item.order)
-        expected = "" if item.expected_order is None else _fmt(item.expected_order)
+        order = "" if item.order is None else item.order
+        expected = "" if item.expected_order is None else item.expected_order
         for n, h, value in zip(report.resolutions, item.spacings, item.values):
-            rows.append((item.key, item.kind, n, _fmt(h), _fmt(value),
+            rows.append((item.key, item.kind, n, h, value,
                          order, expected, int(item.passed)))
     _write_csv(os.path.join(cfg.out_dir, "identities.csv"), header, rows)
 
@@ -142,8 +138,8 @@ def cmd_dispersion(cfg: RunConfig) -> int:
             result = dispersion(background, modes, params)
             oracle = oracle_omegas(background, modes, params)
             for i, (w, wo) in enumerate(zip(result.omega, oracle)):
-                rows.append((*modes, form.value, i, _fmt(w.real), _fmt(w.imag),
-                             _fmt(wo.real), _fmt(wo.imag), int(result.warning)))
+                rows.append((*modes, form.value, i, w.real, w.imag,
+                             wo.real, wo.imag, int(result.warning)))
             speeds = ", ".join(f"{s:.6g}" for s in result.speeds())
             print(f"{form.value} m={modes}: phase speeds {{{speeds}}}"
                   + ("  [eps-sensitivity warning]" if result.warning else ""))
@@ -179,9 +175,8 @@ def cmd_convergence(cfg: RunConfig) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
-    rows = [(n, _fmt(h), _fmt(e)) for n, h, e in result.rows()]
     _write_csv(os.path.join(cfg.out_dir, "convergence.csv"),
-               ("resolution", "spacing", "error"), rows)
+               ("resolution", "spacing", "error"), result.rows())
 
     expected = cfg.convergence_expect_order or float(cfg.stencil_order)
     slack = cfg.convergence_order_slack
@@ -202,13 +197,10 @@ def cmd_info() -> int:
         defaults = SCENARIO_DEFAULTS[name]
         body = ", ".join(f"{k}={v}" for k, v in sorted(defaults.items()))
         print(f"  {name}: {body or '(no parameters)'}")
-    defaults = RunConfig(nx=16, ny=16, nz=16, lx=1, ly=1, lz=1,
-                         scenario="uniform_rest")
     print("config defaults (grid.* and scenario.name are required):")
-    for line in serialize_config(defaults).splitlines():
-        key = line.split(" =")[0]
-        if not key.startswith(("grid.", "scenario.")):
-            print(f"  {line}")
+    for f in dataclasses.fields(RunConfig):
+        if f.metadata and f.default is not dataclasses.MISSING:
+            print(f"  {f.metadata['key']} = {f.metadata['write'](f.default)}")
     return EXIT_OK
 
 

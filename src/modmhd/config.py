@@ -7,74 +7,47 @@ and scenario.name.  Unknown keys are hard errors, as are scenario
 parameters the named scenario does not take -- typos never pass
 silently.  All errors carry the key, the line number, and the violated
 constraint.
+
+Each setting is one `RunConfig` field whose metadata holds its key,
+parser, constraint and written form, so a setting is added by adding one
+field.  A key is required when its field has no default.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-
-import numpy as np
+import math
+from dataclasses import MISSING, dataclass, field, fields
 
 from .grid import STENCIL_ORDERS_TEXT, STENCIL_POINTS, GridSpec
-from .params import Formulation, GaugePolicy, PhysParams
-from .scenarios import SCENARIO_DEFAULTS, build_scenario, check_scenario_param
+from .params import GAUGE_POLICIES, Formulation, GaugePolicy, PhysParams
+from .scenarios import (DEFAULT_SEED, SCENARIO_DEFAULTS, build_scenario,
+                        check_scenario_param)
 
 
 class ConfigError(ValueError):
     """Invalid configuration text or values."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    nx: int
-    ny: int
-    nz: int
-    lx: float
-    ly: float
-    lz: float
-    scenario: str
-    formulation: str = "modified"
-    scenario_params: dict = field(default_factory=dict)
-    gamma: float = 5.0 / 3.0
-    courant: float = 0.4
-    stencil_order: int = 2
-    gauge_policy: str = "every_step"
-    gauge_n: int = 10
-    t_end: float = 1.0
-    out_every: int = 1
-    snapshot_every: int = 0
-    out_dir: str = "out"
-    seed: int = 7
-    identities_resolutions: tuple = (16, 32)
-    dispersion_k: tuple = ((1, 0, 0),)
-    convergence_resolutions: tuple = (16, 32, 64)
-    convergence_t_end: float = 0.5
-    convergence_expect_order: float = 0.0   # 0 = use the stencil order
-    convergence_order_slack: float = 0.3
+def format_value(value) -> str:
+    """A value as output-file text: floats as `.17g`, which reads back
+    exactly, anything else through `str`."""
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    return str(value)
 
-    def grid(self) -> GridSpec:
-        return GridSpec(self.nx, self.ny, self.nz, self.lx, self.ly, self.lz)
 
-    def formulation_enum(self) -> Formulation:
-        return Formulation(self.formulation)
+def _write(value) -> str:
+    if isinstance(value, str):
+        return f'"{value}"'
+    return format_value(value)
 
-    def gauge(self) -> GaugePolicy:
-        if self.gauge_policy == "off":
-            return GaugePolicy.off()
-        if self.gauge_policy == "every_step":
-            return GaugePolicy.every_step()
-        return GaugePolicy.every_n(self.gauge_n)
 
-    def phys(self) -> PhysParams:
-        return PhysParams(gamma=self.gamma, courant=self.courant,
-                          stencil_order=self.stencil_order, gauge=self.gauge())
+def _write_int_list(value: tuple) -> str:
+    return _write(",".join(str(n) for n in value))
 
-    def build_case(self):
-        return build_scenario(
-            self.scenario, self.grid(), self.formulation_enum(),
-            self.scenario_params, gamma=self.gamma,
-            seed=self.seed, order=self.stencil_order,
-        )
+
+def _write_k_list(value: tuple) -> str:
+    return _write("; ".join(",".join(str(i) for i in t) for t in value))
 
 
 def _parse_int(raw: str) -> int:
@@ -89,7 +62,7 @@ def _parse_float(raw: str) -> float:
         value = float(raw)
     except ValueError:
         raise ConfigError(f"expected a number, got {raw!r}") from None
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise ConfigError(f"value must be finite, got {raw!r}")
     return value
 
@@ -106,8 +79,7 @@ def _parse_number(raw: str):
 
 
 def _parse_int_list(raw: str) -> tuple:
-    raw = raw.strip()
-    if not raw:
+    if not raw.strip():
         return ()
     return tuple(_parse_int(p.strip()) for p in raw.split(","))
 
@@ -130,53 +102,88 @@ def _parse_k_list(raw: str) -> tuple:
     return tuple(triples)
 
 
-# constraint text and check of both resolution lists
+# constraints: (text, check) pairs
+def _at_least(bound):
+    return f">= {bound}", lambda v: v >= bound
+
+
+def _above(bound):
+    return f"> {bound}", lambda v: v > bound
+
+
+def _one_of(names):
+    names = tuple(names)
+    return (", ".join(names[:-1]) + " or " + names[-1]), lambda v: v in names
+
+
 _RESOLUTIONS = ("each >= 4, none repeated",
                 lambda v: all(n >= 4 for n in v) and len(set(v)) == len(v))
 
-# key -> (attribute, parser, constraint text or None, validator or None)
-_KEYS = {
-    "grid.nx": ("nx", _parse_int, ">= 4", lambda v: v >= 4),
-    "grid.ny": ("ny", _parse_int, ">= 4", lambda v: v >= 4),
-    "grid.nz": ("nz", _parse_int, ">= 4", lambda v: v >= 4),
-    "grid.lx": ("lx", _parse_float, "> 0", lambda v: v > 0),
-    "grid.ly": ("ly", _parse_float, "> 0", lambda v: v > 0),
-    "grid.lz": ("lz", _parse_float, "> 0", lambda v: v > 0),
-    "scenario.name": ("scenario", str, "a known scenario name",
-                      lambda v: v in SCENARIO_DEFAULTS),
-    "formulation": ("formulation", str, "modified or traditional",
-                    lambda v: v in ("modified", "traditional")),
-    "physics.gamma": ("gamma", _parse_float, "> 1", lambda v: v > 1),
-    "numerics.courant": ("courant", _parse_float, "in (0, 1]",
-                         lambda v: 0 < v <= 1),
-    "numerics.stencil_order": ("stencil_order", _parse_int, STENCIL_ORDERS_TEXT,
-                               lambda v: v in STENCIL_POINTS),
-    "numerics.gauge_policy": ("gauge_policy", str, "off, every_step or every_n",
-                              lambda v: v in ("off", "every_step", "every_n")),
-    "numerics.gauge_n": ("gauge_n", _parse_int, ">= 1", lambda v: v >= 1),
-    "numerics.t_end": ("t_end", _parse_float, ">= 0", lambda v: v >= 0),
-    "numerics.out_every": ("out_every", _parse_int, ">= 1", lambda v: v >= 1),
-    "numerics.snapshot_every": ("snapshot_every", _parse_int, ">= 0",
-                                lambda v: v >= 0),
-    "output.dir": ("out_dir", str, None, None),
-    "seed": ("seed", _parse_int, ">= 0", lambda v: v >= 0),
-    "identities.resolutions": ("identities_resolutions", _parse_int_list,
-                               *_RESOLUTIONS),
-    "dispersion.k": ("dispersion_k", _parse_k_list, None, None),
-    "convergence.resolutions": ("convergence_resolutions", _parse_int_list,
-                                *_RESOLUTIONS),
-    "convergence.t_end": ("convergence_t_end", _parse_float, "> 0",
-                          lambda v: v > 0),
-    "convergence.expect_order": ("convergence_expect_order", _parse_float,
-                                 ">= 0", lambda v: v >= 0),
-    "convergence.order_slack": ("convergence_order_slack", _parse_float, "> 0",
-                                lambda v: v > 0),
-}
 
-_REQUIRED = ("grid.nx", "grid.ny", "grid.nz", "grid.lx", "grid.ly", "grid.lz",
-             "scenario.name")
+def _setting(key, parse, constraint=None, default=MISSING, write=_write):
+    """A `RunConfig` field: its config key, parser, constraint and writer."""
+    return field(default=default, metadata={"key": key, "parse": parse,
+                                            "constraint": constraint, "write": write})
 
-_ATTR_TO_KEY = {attr: key for key, (attr, *_rest) in _KEYS.items()}
+
+@dataclass(frozen=True)
+class RunConfig:
+    nx: int = _setting("grid.nx", _parse_int, _at_least(4))
+    ny: int = _setting("grid.ny", _parse_int, _at_least(4))
+    nz: int = _setting("grid.nz", _parse_int, _at_least(4))
+    lx: float = _setting("grid.lx", _parse_float, _above(0))
+    ly: float = _setting("grid.ly", _parse_float, _above(0))
+    lz: float = _setting("grid.lz", _parse_float, _above(0))
+    scenario: str = _setting("scenario.name", str,
+                             ("a known scenario name", SCENARIO_DEFAULTS.__contains__))
+    formulation: str = _setting("formulation", str, _one_of(f.value for f in Formulation),
+                                Formulation.MODIFIED.value)
+    scenario_params: dict = field(default_factory=dict)   # the scenario.* keys
+    gamma: float = _setting("physics.gamma", _parse_float, _above(1), PhysParams.gamma)
+    courant: float = _setting("numerics.courant", _parse_float,
+                              ("in (0, 1]", lambda v: 0 < v <= 1), PhysParams.courant)
+    stencil_order: int = _setting("numerics.stencil_order", _parse_int,
+                                  (STENCIL_ORDERS_TEXT, STENCIL_POINTS.__contains__),
+                                  PhysParams.stencil_order)
+    gauge_policy: str = _setting("numerics.gauge_policy", str, _one_of(GAUGE_POLICIES),
+                                 "every_step")
+    gauge_n: int = _setting("numerics.gauge_n", _parse_int, _at_least(1), 10)
+    t_end: float = _setting("numerics.t_end", _parse_float, _at_least(0), 1.0)
+    out_every: int = _setting("numerics.out_every", _parse_int, _at_least(1), 1)
+    snapshot_every: int = _setting("numerics.snapshot_every", _parse_int, _at_least(0), 0)
+    out_dir: str = _setting("output.dir", str, None, "out")
+    seed: int = _setting("seed", _parse_int, _at_least(0), DEFAULT_SEED)
+    identities_resolutions: tuple = _setting("identities.resolutions", _parse_int_list,
+                                             _RESOLUTIONS, (16, 32), _write_int_list)
+    dispersion_k: tuple = _setting("dispersion.k", _parse_k_list, None, ((1, 0, 0),),
+                                   _write_k_list)
+    convergence_resolutions: tuple = _setting("convergence.resolutions", _parse_int_list,
+                                              _RESOLUTIONS, (16, 32, 64), _write_int_list)
+    convergence_t_end: float = _setting("convergence.t_end", _parse_float, _above(0), 0.5)
+    convergence_expect_order: float = _setting(   # 0 = use the stencil order
+        "convergence.expect_order", _parse_float, _at_least(0), 0.0)
+    convergence_order_slack: float = _setting("convergence.order_slack", _parse_float,
+                                              _above(0), 0.3)
+
+    def grid(self) -> GridSpec:
+        return GridSpec(self.nx, self.ny, self.nz, self.lx, self.ly, self.lz)
+
+    def formulation_enum(self) -> Formulation:
+        return Formulation(self.formulation)
+
+    def gauge(self) -> GaugePolicy:
+        return GAUGE_POLICIES[self.gauge_policy](self.gauge_n)
+
+    def phys(self) -> PhysParams:
+        return PhysParams(gamma=self.gamma, courant=self.courant,
+                          stencil_order=self.stencil_order, gauge=self.gauge())
+
+    def build_case(self):
+        return build_scenario(
+            self.scenario, self.grid(), self.formulation_enum(),
+            self.scenario_params, gamma=self.gamma,
+            seed=self.seed, order=self.stencil_order,
+        )
 
 
 def _strip_comment(line: str) -> str:
@@ -215,24 +222,28 @@ def parse_config(text: str, overrides=()) -> RunConfig:
         key, _, raw = item.partition("=")
         pairs.append((key.strip(), _unquote(raw), f"--set #{i}"))
 
+    settings = {f.metadata["key"]: f for f in fields(RunConfig) if f.metadata}
     values: dict = {}
     scen_params: dict = {}   # key -> (raw value, location)
     for key, raw, loc in pairs:
-        if key in _KEYS:
-            attr, parser, constraint, check = _KEYS[key]
+        if key in settings:
+            meta = settings[key].metadata
             try:
-                value = parser(raw)
+                value = meta["parse"](raw)
             except ConfigError as exc:
                 raise ConfigError(f"{loc}: {key}: {exc}") from None
-            if check is not None and not check(value):
-                raise ConfigError(f"{loc}: {key} = {raw!r} violates: {constraint}")
-            values[attr] = value
+            if meta["constraint"] is not None:
+                constraint, check = meta["constraint"]
+                if not check(value):
+                    raise ConfigError(f"{loc}: {key} = {raw!r} violates: {constraint}")
+            values[settings[key].name] = value
         elif key.startswith("scenario."):
             scen_params[key.removeprefix("scenario.")] = (raw, loc)
         else:
             raise ConfigError(f"{loc}: unknown key {key!r}")
 
-    missing = [k for k in _REQUIRED if _KEYS[k][0] not in values]
+    missing = [key for key, f in settings.items()
+               if f.default is MISSING and f.name not in values]
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
 
@@ -254,29 +265,14 @@ def parse_config(text: str, overrides=()) -> RunConfig:
     return cfg
 
 
-def _fmt(value) -> str:
-    if isinstance(value, str):
-        return f'"{value}"'
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
-
-
 def serialize_config(cfg: RunConfig) -> str:
     """Full canonical text; parse_config(serialize_config(c)) == c."""
     lines = []
     for f in fields(cfg):
         value = getattr(cfg, f.name)
-        if f.name == "scenario_params":
-            for pkey in sorted(value):
-                lines.append(f"scenario.{pkey} = {_fmt(value[pkey])}")
-            continue
-        key = _ATTR_TO_KEY[f.name]
-        if f.name == "identities_resolutions" or f.name == "convergence_resolutions":
-            lines.append(f"{key} = \"{','.join(str(n) for n in value)}\"")
-        elif f.name == "dispersion_k":
-            body = "; ".join(",".join(str(i) for i in t) for t in value)
-            lines.append(f'{key} = "{body}"')
-        else:
-            lines.append(f"{key} = {_fmt(value)}")
+        if f.metadata:
+            lines.append(f"{f.metadata['key']} = {f.metadata['write'](value)}")
+        else:   # scenario_params
+            lines.extend(f"scenario.{pkey} = {_write(value[pkey])}"
+                         for pkey in sorted(value))
     return "\n".join(lines) + "\n"

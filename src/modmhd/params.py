@@ -55,6 +55,12 @@ class GaugePolicy:
         return cls(n)
 
 
+#: ``numerics.gauge_policy`` name -> its policy, given the ``every_n`` interval.
+GAUGE_POLICIES = {"off": lambda n: GaugePolicy.off(),
+                  "every_step": lambda n: GaugePolicy.every_step(),
+                  "every_n": GaugePolicy.every_n}
+
+
 @dataclass(frozen=True)
 class PhysParams:
     """Physical constants and numerical knobs shared across a run.

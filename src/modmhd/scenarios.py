@@ -25,9 +25,13 @@ import numpy as np
 
 from .electromagnetics import FOUR_PI, BackgroundPotential
 from .grid import GridSpec, full_vector
-from .params import Formulation
+from .params import Formulation, PhysParams
 from .projection import helmholtz_project
 from .state import SimState
+
+
+#: Seed of ``random_solenoidal``'s coefficients when a run does not set one.
+DEFAULT_SEED = 7
 
 
 @dataclass(frozen=True)
@@ -126,7 +130,7 @@ def sound_wave(
     formulation: Formulation = Formulation.MODIFIED,
     rho0: float = 1.0,
     p0: float = 1.0,
-    gamma: float = 5.0 / 3.0,
+    gamma: float = PhysParams.gamma,
     delta: float = 1e-4,
     mode: int = 1,
 ) -> CaseSetup:
@@ -164,8 +168,8 @@ def random_solenoidal(
     b0: float = 0.5,
     amplitude: float = 0.05,
     k_max: int = 2,
-    seed: int = 7,
-    order: int = 2,
+    seed: int = DEFAULT_SEED,
+    order: int = PhysParams.stencil_order,
 ) -> CaseSetup:
     """Seeded band-limited random potential and velocity on a mean field.
 
@@ -280,7 +284,7 @@ def _d_exact(f: np.ndarray, axis: int, length: float) -> np.ndarray:
 def manufactured(
     grid: GridSpec,
     formulation: Formulation = Formulation.MODIFIED,
-    gamma: float = 5.0 / 3.0,
+    gamma: float = PhysParams.gamma,
 ) -> CaseSetup:
     """Manufactured-solution case: exact fields plus the matching sources.
 
@@ -422,9 +426,9 @@ def build_scenario(
     grid: GridSpec,
     formulation: Formulation,
     scenario_params: dict | None = None,
-    gamma: float = 5.0 / 3.0,
-    seed: int = 7,
-    order: int = 2,
+    gamma: float = PhysParams.gamma,
+    seed: int = DEFAULT_SEED,
+    order: int = PhysParams.stencil_order,
 ) -> CaseSetup:
     """Build scenario ``name`` from its checked ``scenario_params``, plus the
     run settings (gamma, seed, order) its builder's signature takes."""

@@ -3,10 +3,13 @@
 import dataclasses
 import re
 
+import numpy as np
 import pytest
 
-from modmhd import ConfigError, PhysParams, parse_config, serialize_config
-from modmhd.params import GaugePolicy
+from modmhd import (ConfigError, GridSpec, PhysParams, build_scenario, parse_config,
+                    serialize_config)
+from modmhd.config import RunConfig
+from modmhd.params import GAUGE_POLICIES, Formulation, GaugePolicy
 
 MINIMAL = """\
 grid.nx = 16
@@ -185,6 +188,10 @@ def test_gauge_policy_mapping():
     assert cfg.gauge() == GaugePolicy.every_n(5)
     off = parse_config(MINIMAL + "numerics.gauge_policy = off\n").gauge()
     assert not off.due(1)
+    for name, policy in GAUGE_POLICIES.items():
+        cfg = parse_config(MINIMAL, overrides=(f"numerics.gauge_policy={name}",
+                                               "numerics.gauge_n=4"))
+        assert cfg.gauge() == policy(4)
 
 
 def test_grid_and_phys_accessors():
@@ -229,3 +236,83 @@ def test_config_is_frozen():
     cfg = parse_config(MINIMAL)
     with pytest.raises(dataclasses.FrozenInstanceError):
         cfg.seed = 3
+
+
+# --- generated from the RunConfig fields -------------------------------------
+
+SETTINGS = [f for f in dataclasses.fields(RunConfig) if f.metadata]
+
+#: key -> a raw value other than its default (or MINIMAL's value)
+NON_DEFAULT = {
+    "grid.nx": "12", "grid.ny": "8", "grid.nz": "4",
+    "grid.lx": "1.5", "grid.ly": "0.1", "grid.lz": "3",
+    "scenario.name": "random_solenoidal", "formulation": "traditional",
+    "physics.gamma": "1.4", "numerics.courant": "0.3",
+    "numerics.stencil_order": "4", "numerics.gauge_policy": "every_n",
+    "numerics.gauge_n": "3", "numerics.t_end": "0.1",
+    "numerics.out_every": "2", "numerics.snapshot_every": "5",
+    "output.dir": '"runs/a b # c"', "seed": "11",
+    "identities.resolutions": '"8, 24"', "dispersion.k": '"1,0,0; 0,-2,1"',
+    "convergence.resolutions": "8,12", "convergence.t_end": "0.25",
+    "convergence.expect_order": "3.5", "convergence.order_slack": "0.125",
+}
+
+#: constrained key -> (a raw value that violates it, the constraint text)
+VIOLATIONS = {
+    "grid.nx": ("3", ">= 4"), "grid.ny": ("-4", ">= 4"), "grid.nz": ("0", ">= 4"),
+    "grid.lx": ("0", "> 0"), "grid.ly": ("-1.5", "> 0"), "grid.lz": ("-0.0", "> 0"),
+    "scenario.name": ("zalfven", "a known scenario name"),
+    "formulation": ("Modified", "modified or traditional"),
+    "physics.gamma": ("1", "> 1"),
+    "numerics.courant": ("1.5", "in (0, 1]"),
+    "numerics.stencil_order": ("3", "2 or 4"),
+    "numerics.gauge_policy": ("coulomb", "off, every_step or every_n"),
+    "numerics.gauge_n": ("0", ">= 1"),
+    "numerics.t_end": ("-1", ">= 0"),
+    "numerics.out_every": ("0", ">= 1"),
+    "numerics.snapshot_every": ("-1", ">= 0"),
+    "seed": ("-7", ">= 0"),
+    "identities.resolutions": ("2,16", "each >= 4, none repeated"),
+    "convergence.resolutions": ("16,32,16", "each >= 4, none repeated"),
+    "convergence.t_end": ("0", "> 0"),
+    "convergence.expect_order": ("-2", ">= 0"),
+    "convergence.order_slack": ("0", "> 0"),
+}
+
+
+def test_tables_cover_every_key():
+    assert set(NON_DEFAULT) == {f.metadata["key"] for f in SETTINGS}
+    assert set(VIOLATIONS) == {f.metadata["key"] for f in SETTINGS
+                               if f.metadata["constraint"] is not None}
+
+
+def test_every_key_set_off_its_default_round_trips():
+    text = "".join(f"{key} = {raw}\n" for key, raw in NON_DEFAULT.items())
+    cfg = parse_config(text + "scenario.b0 = 0.25\nscenario.k_max = 3\n")
+    minimal = parse_config(MINIMAL)
+    for f in SETTINGS:
+        assert getattr(cfg, f.name) != getattr(minimal, f.name), f.metadata["key"]
+    assert cfg.scenario_params == {"b0": 0.25, "k_max": 3}
+    assert parse_config(serialize_config(cfg)) == cfg
+    assert serialize_config(parse_config(serialize_config(cfg))) == serialize_config(cfg)
+
+
+@pytest.mark.parametrize("key", sorted(VIOLATIONS))
+@pytest.mark.parametrize("where", ["file", "override"])
+def test_every_constraint_is_checked(key, where):
+    raw, constraint = VIOLATIONS[key]
+    if where == "file":
+        text, overrides, loc = MINIMAL + f"{key} = {raw}\n", (), "line 8"
+    else:
+        text, overrides, loc = MINIMAL, (f"{key}={raw}",), "--set #1"
+    with pytest.raises(ConfigError) as info:
+        parse_config(text, overrides=overrides)
+    assert str(info.value) == f"{loc}: {key} = {raw!r} violates: {constraint}"
+
+
+def test_run_defaults_are_the_library_defaults():
+    cfg = parse_config(MINIMAL.replace("alfven_wave", "random_solenoidal"))
+    assert cfg.phys() == PhysParams()
+    grid = GridSpec(16, 16, 16, *(6.283185307179586,) * 3)
+    state = build_scenario("random_solenoidal", grid, Formulation.MODIFIED).state
+    assert np.array_equal(cfg.build_case().state.mag, state.mag)
