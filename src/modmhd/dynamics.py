@@ -17,39 +17,56 @@ With the Lorentz force H = curl A obeys dH/dt = curl(v x H): the
 traditional system is ideal MHD written in A.  One ``compute_rhs`` serves
 both, and only its force line branches.  Each field is differentiated
 once per RHS (30 stencil derivatives modified, 27 traditional): curl A
-is taken from A's derivatives (all nine, as the modified (j.grad)A needs
-them), and div v from the diagonal that (v.grad)v takes.  Both are
-marched with classical RK4 (method of lines).  div A = 0 is not one of
-the evolved equations: ``run`` re-imposes it on a modified state by
-projection after the completed steps its gauge policy names, never
-inside RK stages, and records the pre-projection drift.  ``step_rk4``
-never projects, so a hand-written loop calls ``enforce_gauge`` itself.
+is taken from A's six off-diagonal derivatives, which the modified
+(j.grad)A reuses beside the three diagonal ones, and div v from the
+diagonal that (v.grad)v takes.  Both are marched with classical RK4
+(method of lines).  div A = 0 is not one of the evolved equations:
+``run`` re-imposes it on a modified state by projection after the
+completed steps its gauge policy names, never inside RK stages, and
+records the pre-projection drift.  ``step_rk4`` never projects, so a
+hand-written loop calls ``enforce_gauge`` itself.
 The split is first order in time (see ``tests/test_dynamics.py``).
 
-The induction/force half and the fluid half of the RHS are independent
-until the force joins dv/dt.  On grids of more than 32^3 points, when the
-process may use more than one CPU, ``compute_rhs`` runs the first half on
-a helper thread beside the second (numpy releases the GIL inside its
-array loops); otherwise it runs both in turn on the calling thread.  Both
-paths perform the same operations on the same arrays, so the results are
-bitwise the serial ones.  The thread is started and joined inside each
-call.  ``OPENBLAS_NUM_THREADS`` does not govern it; the CPU affinity does,
-so running under ``taskset -c 0`` keeps every RHS on one thread.  Do so
-when the host steals CPU: on a 2-vCPU VM under host steal, two threads took
-483-1009 ms/step on ``traditional_64`` against 393-640 on one, as each
-hand-off halts a vCPU that a loaded host is slow to wake.
+Every per-point operation of a stage runs on slabs of x-planes.  On grids
+of more than 32^3 points, when the process may use more than one CPU,
+there are two: the lower half of the planes on the calling thread and the
+upper half on a helper thread, started and joined for each pass (numpy
+releases the GIL inside its array loops).  Otherwise the one slab is the
+whole grid, on the calling thread.  A slab computes the whole RHS on its
+planes.  Derivatives along y and z act on its own planes; along x they
+read the k neighbouring planes beyond it (k the stencil's half-width),
+periodically.  Of the intermediates only H_y, H_z (for j) and rho v_x
+(for div(rho v)) are differentiated again, so curl A and rho v_x are
+formed on k extra planes on either side, and no slab waits for the other
+inside an RHS.  Each slab checks the planes it reads before it computes,
+and ``validate_state`` names the first failing check over both.
+``cfl_dt`` takes each slab's maximum.  ``step_rk4`` adds the source,
+writes the next stage state and sums the k's in a second, short pass per
+stage, because the stage state is shared and no slab may overwrite planes
+that the other's stencils can still read.  Each value is formed by the
+same operations on one slab or two, so the results are bitwise the
+serial ones.  ``OPENBLAS_NUM_THREADS`` does not govern the helper; the
+CPU affinity does, so running under ``taskset -c 0`` keeps every pass on
+one thread.  Do so when the host steals CPU: on a 2-vCPU VM under host
+steal, the RHS split by function over two threads took 483-1009 ms/step
+on ``traditional_64`` against 393-640 on one, as each hand-off halts a
+vCPU that a loaded host is slow to wake, and a step now makes nine
+hand-offs.
 
 While an RHS runs, an RK4 step holds the state, the running sum of the
 k's and one stage state: three sets of the eight scalar fields.  The RHS
-adds its own peak, the k it returns included: at 64^3, 13-14 scalar
-fields inline for the traditional system and 19 for the modified one
-(``tests/test_dynamics.py`` pins them on 16^3), and 17-19 and 25-26 on
-two threads.  So the RHS's scratch, not the state, sets the step's
-high-water mark, and ``compute_rhs`` keeps it low: every intermediate
-that is only negated, scaled, divided by rho or summed is updated in
-place, each is dropped after its last reader, and grad P and rho v are
-formed one component at a time.  It never writes into a state's arrays,
-which states share (``with_fields`` and a no-op projection hand them on).
+adds its own peak, the k it returns included: at 64^3, 12.05 scalar
+fields on one slab for the traditional system and 18.0 for the modified
+one (``tests/test_dynamics.py`` pins them on 16^3), and 12.3 and 18.1
+on two slabs, whose scratch adds up to one slab's and the halo planes.
+So the RHS's scratch, not the state, sets the step's high-water mark, and
+``compute_rhs`` keeps it low.  It allocates the k first and uses its
+planes as scratch: j fills dA/dt's until v x H does, the force fills
+dv/dt's until the fluid lines join it, and dP/dt's serve the curls and
+the contraction.  The fluid lines are formed one component at a time,
+every other intermediate is updated in place and dropped after its last
+reader.  It never writes into a state's arrays, which states share
+(``with_fields`` and a no-op projection hand them on).
 """
 
 from __future__ import annotations
@@ -68,7 +85,7 @@ from . import operators as ops
 from .diagnostics import DiagnosticsRecord, diagnostics
 from .params import Formulation, PhysParams
 from .projection import helmholtz_project
-from .state import SimState, StateInvalidError, validate_state
+from .state import SimState, StateInvalidError, first_failed_check, validate_state
 
 FOUR_PI = em.FOUR_PI
 
@@ -85,9 +102,14 @@ class SimulationError(RuntimeError):
         self.records = records
 
 
-#: Grids with more points than this overlap the two halves of the RHS on
-#: two threads; on smaller ones the thread hand-offs cost more than they save.
+#: Grids with more points than this split each stage's per-point work into
+#: two slabs on two threads; on smaller ones the hand-offs cost more than
+#: they save.
 _OVERLAP_MIN_POINTS = 32 ** 3
+
+#: A block of planes lo..hi-1 along x, and the half-width of the stencil
+#: that reads beyond it (0 when the block is the whole periodic grid).
+_Slab = namedtuple("_Slab", ["lo", "hi", "halo"])
 
 
 def _usable_cpus() -> int:
@@ -96,6 +118,53 @@ def _usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:
         return os.cpu_count() or 1
+
+
+def _slabs(grid, order: int) -> tuple[_Slab, ...]:
+    """The slabs that a stage's per-point work is split into.
+
+    Two halves of the x-planes, each with the stencil's half-width as its
+    halo, on grids of more than ``_OVERLAP_MIN_POINTS`` points when the
+    process may use more than one CPU; otherwise the whole grid.
+    """
+    n = grid.nx
+    if grid.npoints > _OVERLAP_MIN_POINTS and n > 1 and _usable_cpus() > 1:
+        return (_Slab(0, n // 2, order // 2), _Slab(n // 2, n, order // 2))
+    return (_Slab(0, n, 0),)
+
+
+def _planes(fields, slab: _Slab) -> tuple[np.ndarray, ...]:
+    """Views of the slab's planes of each field (vector or scalar)."""
+    return tuple(f[..., slab.lo:slab.hi, :, :] for f in fields)
+
+
+def _on_slabs(slabs, work) -> list:
+    """[work(slab) for slab in slabs], each slab on its own thread.
+
+    The first slab runs on the calling thread and the second, if any, on a
+    thread started and joined here.  An error raised on either is raised
+    once both are done, the calling thread's first.
+    """
+    if len(slabs) == 1:
+        return [work(slabs[0])]
+    outcome = []
+
+    def second():
+        try:
+            outcome.append((True, work(slabs[1])))
+        except BaseException as exc:
+            outcome.append((False, exc))
+
+    helper = threading.Thread(target=second, name="modmhd-slab")
+    helper.start()
+    try:
+        first = work(slabs[0])
+    finally:
+        helper.join()
+    done, value = outcome[0]
+    if not done:
+        raise value
+    return [first, value]
 
 
 def _keep_freed_heap() -> None:
@@ -120,29 +189,105 @@ def _keep_freed_heap() -> None:
     mallopt(-1, 64 << 20)   # M_TRIM_THRESHOLD
 
 
-def _induction_and_force(state: SimState, params: PhysParams):
-    """The magnetic half of the RHS: (dA/dt, force density)."""
+def _rhs_planes(state: SimState, params: PhysParams, slab: _Slab, k: Rhs) -> int | None:
+    """Write the RHS on the slab's planes into k's.
+
+    The planes that the slab reads, two halos beyond its own, are checked
+    first; if one fails, nothing is computed and the index of the first
+    failed check is returned (see ``state.first_failed_check``).
+    """
+    lo, hi, halo = slab
+    failed = first_failed_check(state, lo - 2 * halo, hi + 2 * halo)
+    if failed is not None:
+        return failed
     g = state.grid
     o = params.stencil_order
+    ext = (lo - halo, hi + halo)            # the planes and a halo either side
+    inner = (halo, halo + hi - lo)          # the slab's own planes within ext
+    own = slice(*inner)
+    shape = (hi - lo,) + g.shape[1:]
+    ext_shape = (hi - lo + 2 * halo,) + g.shape[1:]
     modified = state.formulation is Formulation.MODIFIED
-    # the modified contraction needs all nine derivatives of A, the curl six
-    da = (ops._jacobian if modified else ops._stencil)(state.mag, g, o)
-    h_tot = ops._curl(da, np.empty(state.mag.shape))
-    # j is taken from curl A before H0 joins it, as (x + H0) - (y + H0) is
-    # not bitwise x - y
-    j = ops.curl(h_tot, g, o)
-    j *= 1.0 / FOUR_PI
-    h_tot += state.bg.uniform_field[:, None, None, None]
+    v, rho, p = _planes(state.fields[1:], slab)
+    dmag, dv, drho, dp = _planes(k, slab)
+
+    def d(f, ax, out=None, rows=(lo, hi)):
+        return ops._d1(f, ax, g.spacings[ax], o, out, rows)
+
+    # curl A on the extended planes, as j takes x-derivatives of H_y and
+    # H_z; the modified contraction reuses its six derivatives of A
     if modified:
-        # -(j.grad)(A + A0), with the Jacobian freed before A0's term
-        force = ops._contract(j, da)
-        del da
+        da_ext = {(c, ax): d(state.mag[c], ax, rows=ext)
+                  for c in range(3) for ax in range(3) if c != ax}
+        da = lambda c, ax, buf: da_ext[c, ax]
+    else:
+        da = lambda c, ax, buf: d(state.mag[c], ax, buf, ext)
+    h_tot = ops._curl(da, np.empty((3,) + ext_shape))
+    # j fills dA/dt's planes until v x H does, and dP/dt's planes serve as
+    # scratch until the fluid lines; j is taken from curl A before H0
+    # joins it, as (x + H0) - (y + H0) is not bitwise x - y
+    j = ops._curl(ops._stencil(h_tot, g, o, inner), dmag, tmp=dp)
+    j *= 1.0 / FOUR_PI
+    h_tot = h_tot[:, own]
+    h0 = state.bg.uniform_field
+    for c in range(3):      # not broadcast: that would take a ufunc buffer
+        h_tot[c] += h0[c]
+    # the force fills dv's planes until the fluid lines join it
+    if modified:
+        # -(j.grad)(A + A0); only this contraction takes A's diagonal
+        # derivatives, and the rest are freed before A0's term
+        force = ops._contract(j, lambda c, ax, buf: (da_ext[c, ax][own] if c != ax
+                                                      else d(state.mag[c], ax, buf)),
+                              out=dv, tmp=dp)
+        del da_ext, da
         force += state.bg.advected_by(j)
         np.negative(force, out=force)
     else:
-        force = ops.cross(j, h_tot)
-    del j
-    return ops.cross(state.v, h_tot), force
+        force = ops.cross(j, h_tot, out=dv)
+    ops.cross(v, h_tot, out=dmag)
+    del j, h_tot
+
+    # the fluid lines, one component of dv at a time:
+    # dv_i = (-(v.grad)v_i - d_i P / rho) + f_i / rho, while div v (the
+    # diagonal of grad v) and v.grad P are summed in the whole-field order
+    adv, tmp, dp_dx, div_v = (np.empty(shape) for _ in range(4))
+    for i in range(3):
+        for c in range(3):
+            dvi = d(state.v[i], c, tmp)
+            if c == i:
+                if i == 0:
+                    np.copyto(div_v, dvi)
+                else:
+                    div_v += dvi
+            if c == 0:
+                np.multiply(v[0], dvi, out=adv)
+            else:
+                adv += np.multiply(dvi, v[c], out=tmp)
+        np.negative(adv, out=adv)
+        d(state.p, i, dp_dx)
+        if i == 0:
+            np.multiply(v[0], dp_dx, out=dp)
+        else:
+            dp += np.multiply(v[i], dp_dx, out=tmp)
+        dp_dx /= rho
+        adv -= dp_dx
+        force[i] /= rho
+        np.add(adv, force[i], out=dv[i])
+    del adv, dp_dx
+    # dP/dt = -v.grad(P) - (gamma P) div v
+    np.negative(dp, out=dp)
+    div_v *= params.gamma * p
+    dp -= div_v
+    del div_v
+    # drho/dt = -div(rho v), with rho v_x formed on the extended planes
+    rho_v = np.empty(ext_shape)
+    for at, m, (a,) in ops._plane_runs(*ext, g.nx):
+        np.multiply(state.rho[a:a + m], state.v[0, a:a + m], out=rho_v[at:at + m])
+    d(rho_v, 0, drho, inner)
+    for c in (1, 2):
+        drho += d(np.multiply(rho, v[c], out=rho_v[own]), c, tmp, None)
+    np.negative(drho, out=drho)
+    return None
 
 
 def compute_rhs(state: SimState, params: PhysParams) -> Rhs:
@@ -150,80 +295,46 @@ def compute_rhs(state: SimState, params: PhysParams) -> Rhs:
 
     Only the induction and force laws branch on the formulation; the
     fluid lines are shared, so the two systems differ in nothing else.
-    On large grids the two halves run on two threads (see the module
-    docstring), with bitwise the same result.  It only reads the state's
-    arrays; its intermediates are updated in place (see the module docstring).
+    On large grids the x-planes are split into two slabs on two threads
+    (see the module docstring), with bitwise the same result.  It
+    validates the state (one ``validate_state`` call, on the slabs' own
+    checks) and only reads the state's arrays.
     """
-    validate_state(state)
-    g = state.grid
-    o = params.stencil_order
-    outcome = []
-    helper = None
-    if g.npoints > _OVERLAP_MIN_POINTS and _usable_cpus() > 1:
-        def half():
-            try:
-                outcome.append(_induction_and_force(state, params))
-            except BaseException as exc:
-                outcome.append(exc)
-
-        helper = threading.Thread(target=half, name="modmhd-rhs")
-        helper.start()
-    else:
-        outcome.append(_induction_and_force(state, params))
-    try:
-        div_v = np.empty(g.shape)
-        dv = ops._contract(state.v, ops._stencil(state.v, g, o), trace=div_v)
-        np.negative(dv, out=dv)
-        # grad P one component at a time: dv_c -= d_c P / rho, and v.grad P
-        # is summed in ops.dot's order
-        h = g.spacings
-        dp, term, dp_dx = np.empty(g.shape), np.empty(g.shape), np.empty(g.shape)
-        for c in range(3):
-            ops._d1(state.p, c, h[c], o, dp_dx)
-            if c == 0:
-                np.multiply(state.v[0], dp_dx, out=dp)
-            else:
-                dp += np.multiply(state.v[c], dp_dx, out=term)
-            dp_dx /= state.rho
-            dv[c] -= dp_dx
-        del term, dp_dx
-        # dP/dt = -v.grad(P) - (gamma P) div v
-        np.negative(dp, out=dp)
-        div_v *= params.gamma * state.p
-        dp -= div_v
-        del div_v
-        rho_v = np.empty(g.shape)   # rho v, one component at a time
-        drho = ops.div((np.multiply(state.rho, vc, out=rho_v) for vc in state.v), g, o)
-        np.negative(drho, out=drho)
-    finally:
-        if helper is not None:
-            helper.join()
-    if isinstance(outcome[0], BaseException):
-        raise outcome[0]
-    dmag, force = outcome[0]
-    force /= state.rho
-    dv += force
-    return Rhs(dmag, dv, drho, dp)
+    k = Rhs(*(np.empty(f.shape) for f in state.fields))
+    slabs = _slabs(state.grid, params.stencil_order)
+    validate_state(state, _on_slabs(slabs, lambda slab: _rhs_planes(state, params, slab, k)))
+    return k
 
 
 def cfl_dt(state: SimState, params: PhysParams) -> float:
     """dt = courant * h_min / max(|v| + v_alfven + c_sound) over the grid.
 
-    H is dropped once |H|^2 is formed; the speeds are summed in place.
+    Each slab forms H on its planes and takes its own maximum; H is
+    dropped once |H|^2 is formed, and the speeds are summed in place.
     """
-    h_tot = state.h_total(params.stencil_order)
-    h2 = ops.dot(h_tot, h_tot)
-    del h_tot
-    speed = ops.dot(state.v, state.v)
-    np.sqrt(speed, out=speed)
-    term = np.multiply(FOUR_PI, state.rho)
-    h2 /= term
-    speed += np.sqrt(h2, out=h2)
-    del h2
-    np.multiply(params.gamma, state.p, out=term)
-    term /= state.rho
-    speed += np.sqrt(term, out=term)
-    return params.courant * state.grid.min_spacing / float(speed.max())
+    g = state.grid
+    o = params.stencil_order
+
+    def fastest(slab):
+        v, rho, p = _planes(state.fields[1:], slab)
+        h_tot = ops._curl(ops._stencil(state.mag, g, o, slab[:2]), np.empty(v.shape))
+        h_tot += state.bg.uniform_field[:, None, None, None]
+        h2 = ops.dot(h_tot, h_tot)
+        del h_tot
+        speed = ops.dot(v, v)
+        np.sqrt(speed, out=speed)
+        term = np.multiply(FOUR_PI, rho)
+        h2 /= term
+        speed += np.sqrt(h2, out=h2)
+        del h2
+        np.multiply(params.gamma, p, out=term)
+        term /= rho
+        speed += np.sqrt(term, out=term)
+        return speed.max()
+
+    # np.max, not max: a NaN on either slab carries through as it did on one
+    top = np.max(_on_slabs(_slabs(g, o), fastest))
+    return params.courant * g.min_spacing / float(top)
 
 
 def enforce_gauge(state: SimState, params: PhysParams) -> tuple[SimState, float]:
@@ -245,44 +356,58 @@ def step_rk4(state: SimState, dt: float, params: PhysParams, source=None) -> Sim
     4-tuple matching Rhs) added to the RHS at each stage time -- used by
     the manufactured-solution scenario.  It never projects A: the gauge
     split belongs to the caller (``run``, or ``enforce_gauge`` by hand).
+    After each RHS the stage arithmetic runs on the slabs of
+    ``compute_rhs``, in a pass of its own: a slab may overwrite the stage
+    state's planes only once no stencil of the RHS can still read them.
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-
-    def deriv(s: SimState, t_stage: float) -> Rhs:
-        d = compute_rhs(s, params)
-        if source is not None:
-            for f, g in zip(d, source(s.grid, t_stage)):
-                f += g
-        return d
-
+    slabs = _slabs(state.grid, params.stencil_order)
+    t0 = state.t
     # stage states share one buffer set: each is dead once its k is taken
     buffers = tuple(np.empty(f.shape) for f in state.fields)
+    stage = state.with_fields(*buffers, t0)
 
-    def shift(c: float, k: Rhs) -> SimState:
-        for buf, f, g in zip(buffers, state.fields, k):
-            np.multiply(c, g, out=buf)
+    def update(k: Rhs, t_stage: float, work) -> None:
+        """The source at t_stage joins k; then work(f, buf, k, acc) runs on
+        each field's planes, slab by slab."""
+        extra = None if source is None else source(state.grid, t_stage)
+
+        def on(slab):
+            if extra is not None:
+                for f, g in zip(_planes(k, slab), _planes(extra, slab)):
+                    f += g
+            for views in zip(*(_planes(x, slab) for x in (state.fields, buffers, k, acc))):
+                work(*views)
+
+        _on_slabs(slabs, on)
+
+    def shift(c: float, doubled: bool):
+        """Write the stage state f + c k; then, if ``doubled``, add 2 k to acc."""
+        def work(f, buf, k, acc):
+            np.multiply(c, k, out=buf)
             np.add(f, buf, out=buf)
-        return state.with_fields(*buffers, state.t)
+            if doubled:
+                k *= 2.0
+                acc += k
+        return work
+
+    def last(f, buf, k, acc):
+        acc += k
+        acc *= w
+        acc += f
 
     # a running sum in the order of f + w*(k1 + 2 k2 + 2 k3 + k4); k2 and
     # k3 join it once their stage state is built and are freed before the
     # next RHS, so at most one k is held beside the sum
-    t0 = state.t
-    acc = deriv(state, t0)
-    k = deriv(shift(0.5 * dt, acc), t0 + 0.5 * dt)
-    for c in (0.5 * dt, dt):
-        stage = shift(c, k)
-        for a, b in zip(acc, k):
-            b *= 2.0
-            a += b
-        del k, b
-        k = deriv(stage, t0 + c)
     w = dt / 6.0
-    for a, b, f in zip(acc, k, state.fields):
-        a += b
-        a *= w
-        a += f
+    acc = compute_rhs(state, params)
+    update(acc, t0, shift(0.5 * dt, False))
+    for c in (0.5 * dt, dt):    # k2 and k3, both at the half step
+        k = compute_rhs(stage, params)
+        update(k, t0 + 0.5 * dt, shift(c, True))
+        del k
+    update(compute_rhs(stage, params), t0 + dt, last)
     return state.with_fields(*acc, t0 + dt)
 
 

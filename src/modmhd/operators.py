@@ -33,12 +33,40 @@ from .grid import STENCIL_ORDERS_TEXT, STENCIL_POINTS, GridSpec
 _CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
 
-def _pair(op, f: np.ndarray, axis: int, k: int, out: np.ndarray) -> np.ndarray:
-    """out[i] = op(f[i+k], f[i-k]) along ``axis``, indices taken mod n."""
+def _plane_runs(lo: int, hi: int, n: int, shifts=(0,)):
+    """Split planes lo..hi-1 along axis 0 (taken mod n) into runs.
+
+    Within a run, plane i + s (mod n) is contiguous for every shift s.
+    Yields (offset, length, starts): the run's first plane counted from
+    lo, its length, and the first plane i + s mod n for each shift.
+    """
+    i = lo
+    while i < hi:
+        starts = [(i + s) % n for s in shifts]
+        length = min([hi - i] + [n - a for a in starts])
+        yield i - lo, length, starts
+        i += length
+
+
+def _pair(op, f: np.ndarray, axis: int, k: int, out: np.ndarray,
+          rows: tuple[int, int] | None = None) -> np.ndarray:
+    """out[i] = op(f[i+k], f[i-k]) along ``axis``, indices taken mod n.
+
+    ``rows`` = (lo, hi) fills only planes lo..hi-1 along axis 0 (see ``_d1``).
+    """
     n = f.shape[axis]
     if n < 2 * k:
         raise ValueError(f"a stencil of half-width {k} needs at least {2 * k} "
                          f"points along axis {axis}, got {n}")
+    if rows is not None and rows != (0, f.shape[0]):
+        shifts = (k, -k) if axis == 0 else (0,)
+        for at, m, starts in _plane_runs(*rows, f.shape[0], shifts):
+            if axis == 0:
+                p, q = starts
+                op(f[p:p + m], f[q:q + m], out=out[at:at + m])
+            else:
+                _pair(op, f[starts[0]:starts[0] + m], axis, k, out[at:at + m])
+        return out
     if not out.flags.c_contiguous:
         out[...] = _pair(op, f, axis, k, np.empty(out.shape))
         return out
@@ -58,21 +86,28 @@ def _pair(op, f: np.ndarray, axis: int, k: int, out: np.ndarray) -> np.ndarray:
 
 
 def _d1(f: np.ndarray, axis: int, h: float, order: int,
-        out: np.ndarray | None = None) -> np.ndarray:
+        out: np.ndarray | None = None,
+        rows: tuple[int, int] | None = None) -> np.ndarray:
     """First derivative along one axis (periodic central difference).
 
-    Written into ``out`` when given (it must not overlap ``f``).
+    Written into ``out`` when given (it must not overlap ``f``).  ``rows``
+    = (lo, hi) takes it on planes lo..hi-1 along axis 0 only, numbered mod
+    f.shape[0] so that the range may run past either end, and ``out``
+    holds just those planes.  Along axis 0 their partners are read from
+    f's neighbouring planes, periodically; every value is bitwise the one
+    the whole-array derivative has on that plane.
     """
     if order not in STENCIL_POINTS:
         raise ValueError(f"stencil order must be {STENCIL_ORDERS_TEXT}, got {order}")
+    shape = f.shape if rows is None else (rows[1] - rows[0],) + f.shape[1:]
     if out is None:
-        out = np.empty(f.shape)
-    _pair(np.subtract, f, axis, 1, out)
+        out = np.empty(shape)
+    _pair(np.subtract, f, axis, 1, out, rows)
     if order == 2:
         out /= 2.0 * h
         return out
     out *= 8.0
-    out -= _pair(np.subtract, f, axis, 2, np.empty(f.shape))
+    out -= _pair(np.subtract, f, axis, 2, np.empty(shape), rows)
     out /= 12.0 * h
     return out
 
@@ -117,37 +152,32 @@ def grad(s: np.ndarray, grid: GridSpec, order: int = 2) -> np.ndarray:
 
 
 def div(v: np.ndarray, grid: GridSpec, order: int = 2) -> np.ndarray:
-    """Divergence of a vector field.
-
-    ``v`` may be any iterable of the three components.  Each is drawn only
-    after the previous one is differenced, so a generator may yield them
-    in one shared buffer.
-    """
+    """Divergence of a vector field."""
     h = grid.spacings
-    v = iter(v)
-    out = _d1(next(v), 0, h[0], order)
-    d = _d1(next(v), 1, h[1], order)
+    out = _d1(v[0], 0, h[0], order)
+    d = _d1(v[1], 1, h[1], order)
     out += d
-    out += _d1(next(v), 2, h[2], order, d)
+    out += _d1(v[2], 2, h[2], order, d)
     return out
 
 
-def _stencil(w: np.ndarray, grid: GridSpec, order: int):
-    """First derivatives of W by stencil: d(c, ax, buf) is d_ax W_c, written into buf."""
+def _stencil(w: np.ndarray, grid: GridSpec, order: int,
+             rows: tuple[int, int] | None = None):
+    """First derivatives of W by stencil: d(c, ax, buf) is d_ax W_c, written into buf.
+
+    ``rows`` restricts them to planes along x as ``_d1`` does.
+    """
     h = grid.spacings
-    return lambda c, ax, buf: _d1(w[c], ax, h[ax], order, buf)
+    return lambda c, ax, buf: _d1(w[c], ax, h[ax], order, buf, rows)
 
 
-def _jacobian(w: np.ndarray, grid: GridSpec, order: int):
-    """All nine first derivatives of W, each taken once; d(c, ax, buf) returns d_ax W_c."""
-    d = _stencil(w, grid, order)
-    jac = [[d(c, ax, np.empty(w.shape[1:])) for ax in range(3)] for c in range(3)]
-    return lambda c, ax, buf: jac[c][ax]
+def _curl(d, out: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
+    """out_i = d_j V_k - d_k V_j, (i, j, k) cyclic, from V's derivatives d.
 
-
-def _curl(d, out: np.ndarray) -> np.ndarray:
-    """out_i = d_j V_k - d_k V_j, (i, j, k) cyclic, from V's derivatives d."""
-    tmp = np.empty(out.shape[1:])
+    ``tmp``, when given, is scratch shaped like one component.
+    """
+    if tmp is None:
+        tmp = np.empty(out.shape[1:])
     for i, j, k in _CYCLIC:
         np.subtract(d(k, j, out[i]), d(j, k, tmp), out=out[i])
     return out
@@ -163,22 +193,19 @@ def curl_curl(v: np.ndarray, grid: GridSpec, order: int = 2) -> np.ndarray:
     return curl(curl(v, grid, order), grid, order)
 
 
-def _contract(v: np.ndarray, d, on_i: bool = False,
-              trace: np.ndarray | None = None) -> np.ndarray:
+def _contract(v: np.ndarray, d, on_i: bool = False, out: np.ndarray | None = None,
+              tmp: np.ndarray | None = None) -> np.ndarray:
     """G_i = sum_k V_k d_k W_i, or sum_k V_k d_i W_k when ``on_i``, from W's derivatives d.
 
-    ``trace``, when given, receives div W, summed in ``div``'s order.
+    ``tmp``, when given, is scratch shaped like one component.
     """
-    out = np.empty(v.shape)
-    tmp = np.empty(v.shape[1:])
+    if out is None:
+        out = np.empty(v.shape)
+    if tmp is None:
+        tmp = np.empty(v.shape[1:])
     for i in range(3):
         for k in range(3):
             dk = d(k, i, tmp) if on_i else d(i, k, tmp)
-            if trace is not None and i == k:
-                if i == 0:
-                    np.copyto(trace, dk)
-                else:
-                    trace += dk
             if k == 0:
                 np.multiply(v[0], dk, out=out[i])
             else:
@@ -214,9 +241,13 @@ def vector_laplacian(v: np.ndarray, grid: GridSpec, order: int = 2) -> np.ndarra
     return np.stack([laplacian(v[i], grid, order) for i in range(3)])
 
 
-def cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Pointwise cross product of two vector fields: U_j V_k - U_k V_j."""
-    out = np.empty(np.broadcast_shapes(u.shape, v.shape))
+def cross(u: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Pointwise cross product of two vector fields: U_j V_k - U_k V_j.
+
+    Written into ``out`` when given (it must not overlap U or V).
+    """
+    if out is None:
+        out = np.empty(np.broadcast_shapes(u.shape, v.shape))
     tmp = np.empty(out.shape[1:])
     for i, j, k in _CYCLIC:
         np.multiply(u[j], v[k], out=out[i])

@@ -293,27 +293,27 @@ def test_cfl_dt_scratch_footprint(formulation, order):
     assert all(np.array_equal(a, b) for a, b in zip(st.fields, before.fields))
 
 
-# -- the two-thread RHS ----------------------------------------------------------
+# -- two slabs on two threads ----------------------------------------------------
 
-def _overlap_case(formulation, order):
-    """A state on a grid above the two-thread threshold, with a background."""
-    g = GridSpec(40, 36, 24, 1.0, 2.5, 7.0)
+def _overlap_case(formulation, order, shape=(40, 36, 24)):
+    """A state on a grid above the two-slab threshold, with a background."""
+    g = GridSpec(*shape, 1.0, 2.5, 7.0)
     assert g.npoints > dynamics._OVERLAP_MIN_POINTS
     return random_solenoidal(g, formulation, b0=0.5, amplitude=0.3,
                              seed=2, order=order).state
 
 
-def _record_half_threads(monkeypatch):
-    """Spy on the thread that computes the induction/force half."""
-    threads = []
-    inner = dynamics._induction_and_force
+def _record_slab_threads(monkeypatch):
+    """Spy on the thread and the planes of every slab of the RHS."""
+    ran = []
+    inner = dynamics._rhs_planes
 
-    def spy(state, params):
-        threads.append(threading.current_thread())
-        return inner(state, params)
+    def spy(state, params, slab, k):
+        ran.append((threading.current_thread(), slab.lo, slab.hi))
+        return inner(state, params, slab, k)
 
-    monkeypatch.setattr(dynamics, "_induction_and_force", spy)
-    return threads
+    monkeypatch.setattr(dynamics, "_rhs_planes", spy)
+    return ran
 
 
 @pytest.mark.parametrize("order", [2, 4])
@@ -321,13 +321,16 @@ def _record_half_threads(monkeypatch):
 def test_threaded_rhs_matches_inline_bitwise(formulation, order, monkeypatch):
     st = _overlap_case(formulation, order)
     params = PhysParams(stencil_order=order)
-    threads = _record_half_threads(monkeypatch)
+    ran = _record_slab_threads(monkeypatch)
     monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 2)
     threaded = compute_rhs(st, params)
     monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 1)
     inline = compute_rhs(st, params)
     main = threading.main_thread()
-    assert threads[0] is not main and threads[1] is main
+    two = sorted(ran[:2], key=lambda r: r[1])
+    assert [(lo, hi) for _, lo, hi in two] == [(0, 20), (20, 40)]
+    assert two[0][0] is main and two[1][0] is not main
+    assert ran[2:] == [(main, 0, 40)]
     assert ops.max_norm(inline.mag) > 0.0 and ops.max_norm(inline.v) > 0.0
     for got, want in zip(threaded, inline):
         assert np.array_equal(got, want)
@@ -337,21 +340,204 @@ def test_rhs_helper_failure_propagates_and_leaves_no_thread(monkeypatch):
     st = _overlap_case(Formulation.TRADITIONAL, 2)
     params = PhysParams()
     monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 2)
+    ran = _record_slab_threads(monkeypatch)
     before = threading.active_count()
     compute_rhs(st, params)
     assert threading.active_count() == before
 
     raised_in = []
+    cross = ops.cross
 
-    def broken_cross(u, v):
-        raised_in.append(threading.current_thread())
-        raise RuntimeError("cross failed")
+    def broken_on(main):
+        def broken_cross(u, v, out=None):
+            if (threading.current_thread() is threading.main_thread()) == main:
+                raised_in.append(threading.current_thread())
+                raise RuntimeError("cross failed")
+            return cross(u, v, out)
+        return broken_cross
 
-    monkeypatch.setattr(ops, "cross", broken_cross)
-    with pytest.raises(RuntimeError, match="cross failed"):
-        compute_rhs(st, params)
-    assert raised_in and raised_in[0] is not threading.main_thread()
-    assert threading.active_count() == before
+    # the helper's error is raised once the calling thread's slab is done,
+    # and so is an error on the calling thread, after the join
+    for on_main in (False, True):
+        ran.clear()
+        raised_in.clear()
+        monkeypatch.setattr(ops, "cross", broken_on(on_main))
+        with pytest.raises(RuntimeError, match="cross failed"):
+            compute_rhs(st, params)
+        assert len(raised_in) == 1
+        assert (raised_in[0] is threading.main_thread()) == on_main
+        assert threading.active_count() == before
+        assert len(ran) == 2
+
+
+def test_one_usable_cpu_starts_no_thread(monkeypatch):
+    # the CPU affinity, not a setting, keeps a run on one thread (README:
+    # ``taskset -c 0``); under it every slab pass runs on the calling thread
+    st = _overlap_case(Formulation.MODIFIED, 2)
+    params = PhysParams(gauge=GaugePolicy.every_step())
+
+    def refuse(self):
+        raise AssertionError(f"thread {self.name} started")
+
+    monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    final, records = run(st, params, t_end=1.5 * cfl_dt(st, params))
+    assert len(records) == 3 and final.t > st.t
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
+def test_one_cpu_affinity_means_one_usable_cpu():
+    code = ("import os, modmhd.dynamics as d\n"
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "print(d._usable_cpus())\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1"]
+
+
+#: Arrays a slab holds on its extended planes (its own and a halo on either
+#: side) when its scratch peaks: curl A and the curl's scratch, the order-4
+#: stencil's second scratch while the traditional curl A is taken, and the
+#: modified RHS's six stored derivatives of A.
+_EXTENDED_ARRAYS = {(Formulation.TRADITIONAL, 2): 4, (Formulation.TRADITIONAL, 4): 5,
+                    (Formulation.MODIFIED, 2): 10, (Formulation.MODIFIED, 4): 10}
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("formulation", list(Formulation))
+def test_two_slab_rhs_peak_is_one_slab_plus_halo_planes(formulation, order, monkeypatch):
+    # the two slabs' scratch adds up to one whole-grid scratch and the
+    # halo planes, plus the second thread's ufunc buffer (8192 doubles),
+    # however the threads interleave
+    st = _overlap_case(formulation, order)
+    g = st.grid
+    params = PhysParams(stencil_order=order)
+    monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 1)
+    _, one = _peak_fields(compute_rhs, st, params)
+    monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 2)
+    slabs = dynamics._slabs(g, order)
+    assert len(slabs) == 2
+    halo_planes = sum(2 * s.halo for s in slabs) * _EXTENDED_ARRAYS[formulation, order]
+    for _ in range(3):
+        _, two = _peak_fields(compute_rhs, st, params)
+        assert two <= one + halo_planes / g.nx + 8192 / g.npoints
+
+
+def test_validate_names_the_first_check_over_both_slabs(monkeypatch):
+    # each slab checks the planes it reads; the error is the first failing
+    # check in the whole-grid order, whichever slab finds what, and the RHS
+    # still makes one validate_state call
+    monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 2)
+    calls = []
+    inner = dynamics.validate_state
+
+    def spy(state, *args):
+        calls.append(state)
+        return inner(state, *args)
+
+    monkeypatch.setattr(dynamics, "validate_state", spy)
+    st = _overlap_case(Formulation.TRADITIONAL, 2)
+    compute_rhs(st, PhysParams())
+    assert len(calls) == 1
+    # nx = 40: the first slab owns planes 0-19, the second 20-39
+    cases = [
+        ({"rho": (3, 0.0), "mag": (30, np.nan)}, "A"),
+        ({"mag": (3, np.nan), "rho": (30, 0.0)}, "A"),
+        ({"p": (3, -1.0), "v": (30, np.inf)}, "v"),
+        ({"rho": (30, 0.0), "p": (3, 0.0)}, "rho"),
+        ({"p": (30, 0.0)}, "P"),
+    ]
+    for broken, quantity in cases:
+        bad = st.copy()
+        for name, (plane, value) in broken.items():
+            getattr(bad, name)[..., plane, 5, 6] = value
+        with pytest.raises(StateInvalidError) as info:
+            compute_rhs(bad, PhysParams())
+        assert info.value.quantity == quantity
+        with pytest.raises(StateInvalidError) as whole:
+            validate_state(bad)
+        assert (whole.value.quantity, str(whole.value)) == (quantity, str(info.value))
+    assert len(calls) == 1 + len(cases)
+
+
+def _two_slab_cases():
+    """(grid shape, order): even and odd nx, and thin x, where a slab is
+    no thicker than its halo."""
+    return [((40, 36, 24), 2), ((40, 36, 24), 4), ((41, 36, 24), 2),
+            ((41, 36, 24), 4), ((4, 96, 96), 2), ((8, 72, 64), 4)]
+
+
+@pytest.mark.parametrize("shape, order", _two_slab_cases())
+@pytest.mark.parametrize("formulation", list(Formulation))
+def test_two_slabs_match_one_bitwise(formulation, shape, order, monkeypatch):
+    # the RHS, dt and RK4 steps with the manufactured source, repeated with
+    # frequent thread switches so that a slab writing the stage state while
+    # the other still reads it would show
+    st = _overlap_case(formulation, order, shape)
+    g = st.grid
+    params = PhysParams(stencil_order=order)
+    source = manufactured(g, formulation).source
+    dt = 0.5 * cfl_dt(st, params)
+
+    def outputs():
+        s = st
+        for _ in range(2):
+            s = step_rk4(s, dt, params, source=source)
+        return [*compute_rhs(st, params), np.array(cfl_dt(st, params)), *s.fields]
+
+    monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 1)
+    want = outputs()
+    monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 2)
+    assert dynamics._slabs(g, order)[0].hi == g.nx // 2
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(3):
+            for got, ref in zip(outputs(), want):
+                assert np.array_equal(got, ref)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("formulation", list(Formulation))
+def test_two_slab_run_matches_one_bitwise(formulation, order, monkeypatch):
+    # a 5-step run with its gauge projections and records, on odd nx
+    st = _overlap_case(formulation, order, (41, 36, 24))
+    params = PhysParams(stencil_order=order, gauge=GaugePolicy.every_step())
+    t_end = 4.5 * cfl_dt(st, params)
+
+    monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 1)
+    want, want_records = run(st, params, t_end)
+    monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 2)
+    got, records = run(st, params, t_end)
+    assert len(records) == 6
+    assert records == want_records
+    for f, g in zip(got.fields, want.fields):
+        assert np.array_equal(f, g)
+
+
+@pytest.mark.parametrize("formulation, calls", [(Formulation.MODIFIED, 30),
+                                                (Formulation.TRADITIONAL, 27)])
+def test_each_slab_takes_each_first_derivative_once(formulation, calls, monkeypatch):
+    # halos are formed from planes, not from a second derivative pass
+    st = _overlap_case(formulation, 2)
+    monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 2)
+    seen = []
+    inner = ops._d1
+
+    def spy(*args, **kwargs):
+        seen.append(threading.current_thread())
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(ops, "_d1", spy)
+    compute_rhs(st, PhysParams())
+    assert len(seen) == 2 * calls
+    assert seen.count(threading.main_thread()) == calls
 
 
 # -- CFL ------------------------------------------------------------------------

@@ -304,3 +304,38 @@ def test_order4_error_ratio(name):
     errs = [operator_errors(n, order=4)[name] for n in (16, 32, 64)]
     for coarse, fine in zip(errs, errs[1:]):
         assert 16.0 * 0.8 <= coarse / fine <= 16.0 * 1.2
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_row_range_kernel_matches_whole_array_bitwise(order):
+    # rows = (lo, hi) takes the derivative on planes lo..hi-1 along axis 0
+    # only: the first and the last of two slabs, odd and even lengths, and
+    # ranges that run a halo past either end (numbered mod nx)
+    h = 0.3
+    k = order // 2
+    rng = np.random.default_rng(order)
+    for nx in (STENCIL_POINTS[order], 9, 12):
+        f = rng.standard_normal((nx, 7, 6))
+        for axis in range(3):
+            whole = ops._d1(f, axis, h, order)
+            for lo, hi in ((0, nx // 2), (nx // 2, nx)):
+                for a, b in ((lo, hi), (lo - k, hi + k), (lo - 2 * k, hi + 2 * k)):
+                    want = whole[np.arange(a, b) % nx]
+                    assert np.array_equal(ops._d1(f, axis, h, order, rows=(a, b)), want)
+                    out = np.full(want.shape, np.nan)
+                    assert ops._d1(f, axis, h, order, out, (a, b)) is out
+                    assert np.array_equal(out, want)
+                # a slab's own planes within an array held on its extended
+                # planes: the partners never wrap there
+                ext = f[np.arange(lo - k, hi + k) % nx]
+                assert np.array_equal(
+                    ops._d1(ext, axis, h, order, rows=(k, k + hi - lo)), whole[lo:hi])
+            assert np.array_equal(ops._d1(f, axis, h, order, rows=(0, nx)), whole)
+
+
+def test_plane_runs_split_at_the_periodic_seams():
+    assert list(ops._plane_runs(0, 8, 8)) == [(0, 8, [0])]
+    assert list(ops._plane_runs(-2, 6, 8)) == [(0, 2, [6]), (2, 6, [0])]
+    # shifted partners of planes 3..9 (mod 8) at +-2 stay contiguous in each run
+    assert list(ops._plane_runs(3, 10, 8, (2, -2))) == [
+        (0, 3, [5, 1]), (3, 4, [0, 4])]
