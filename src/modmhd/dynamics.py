@@ -38,8 +38,8 @@ read the k neighbouring planes beyond it (k the stencil's half-width),
 periodically.  Of the intermediates only H_y, H_z (for j) and rho v_x
 (for div(rho v)) are differentiated again, so curl A and rho v_x are
 formed on k extra planes on either side, and no slab waits for the other
-inside an RHS.  Each slab checks the planes it reads before it computes,
-and ``validate_state`` names the first failing check over both.
+inside an RHS.  ``compute_rhs`` validates the state on the calling
+thread before any slab starts, so an invalid state computes nothing.
 ``cfl_dt`` takes each slab's maximum.  ``step_rk4`` adds the source,
 writes the next stage state and sums the k's in a second, short pass per
 stage, because the stage state is shared and no slab may overwrite planes
@@ -47,11 +47,11 @@ that the other's stencils can still read.  Each value is formed by the
 same operations on one slab or two, so the results are bitwise the
 serial ones.  ``OPENBLAS_NUM_THREADS`` does not govern the helper; the
 CPU affinity does, so running under ``taskset -c 0`` keeps every pass on
-one thread.  Do so when the host steals CPU: on a 2-vCPU VM under host
-steal, the RHS split by function over two threads took 483-1009 ms/step
-on ``traditional_64`` against 393-640 on one, as each hand-off halts a
-vCPU that a loaded host is slow to wake, and a step now makes nine
-hand-offs.
+one thread.  Do so when the host steals CPU: each hand-off halts a vCPU
+that a loaded host is slow to wake, and a step makes nine.  On a 2-vCPU
+VM under host steal, an earlier split of the RHS by function over two
+threads took 483-1009 ms/step on ``traditional_64`` against 393-640 on
+one; the slabs have not been measured under steal.
 
 While an RHS runs, an RK4 step holds the state, the running sum of the
 k's and one stage state: three sets of the eight scalar fields.  The RHS
@@ -85,7 +85,7 @@ from . import operators as ops
 from .diagnostics import DiagnosticsRecord, diagnostics
 from .params import Formulation, PhysParams
 from .projection import helmholtz_project
-from .state import SimState, StateInvalidError, first_failed_check, validate_state
+from .state import SimState, StateInvalidError, validate_state
 
 FOUR_PI = em.FOUR_PI
 
@@ -189,17 +189,9 @@ def _keep_freed_heap() -> None:
     mallopt(-1, 64 << 20)   # M_TRIM_THRESHOLD
 
 
-def _rhs_planes(state: SimState, params: PhysParams, slab: _Slab, k: Rhs) -> int | None:
-    """Write the RHS on the slab's planes into k's.
-
-    The planes that the slab reads, two halos beyond its own, are checked
-    first; if one fails, nothing is computed and the index of the first
-    failed check is returned (see ``state.first_failed_check``).
-    """
+def _rhs_planes(state: SimState, params: PhysParams, slab: _Slab, k: Rhs) -> None:
+    """Write the RHS on the slab's planes into k's."""
     lo, hi, halo = slab
-    failed = first_failed_check(state, lo - 2 * halo, hi + 2 * halo)
-    if failed is not None:
-        return failed
     g = state.grid
     o = params.stencil_order
     ext = (lo - halo, hi + halo)            # the planes and a halo either side
@@ -287,7 +279,6 @@ def _rhs_planes(state: SimState, params: PhysParams, slab: _Slab, k: Rhs) -> int
     for c in (1, 2):
         drho += d(np.multiply(rho, v[c], out=rho_v[own]), c, tmp, None)
     np.negative(drho, out=drho)
-    return None
 
 
 def compute_rhs(state: SimState, params: PhysParams) -> Rhs:
@@ -297,12 +288,14 @@ def compute_rhs(state: SimState, params: PhysParams) -> Rhs:
     fluid lines are shared, so the two systems differ in nothing else.
     On large grids the x-planes are split into two slabs on two threads
     (see the module docstring), with bitwise the same result.  It
-    validates the state (one ``validate_state`` call, on the slabs' own
-    checks) and only reads the state's arrays.
+    validates the state on the calling thread before any slab starts, so
+    an invalid state raises StateInvalidError and computes nothing, and it
+    only reads the state's arrays.
     """
+    validate_state(state)
     k = Rhs(*(np.empty(f.shape) for f in state.fields))
-    slabs = _slabs(state.grid, params.stencil_order)
-    validate_state(state, _on_slabs(slabs, lambda slab: _rhs_planes(state, params, slab, k)))
+    _on_slabs(_slabs(state.grid, params.stencil_order),
+              lambda slab: _rhs_planes(state, params, slab, k))
     return k
 
 
@@ -359,6 +352,9 @@ def step_rk4(state: SimState, dt: float, params: PhysParams, source=None) -> Sim
     After each RHS the stage arithmetic runs on the slabs of
     ``compute_rhs``, in a pass of its own: a slab may overwrite the stage
     state's planes only once no stencil of the RHS can still read them.
+    It returns a valid state or raises StateInvalidError: ``compute_rhs``
+    validates each stage state, and the result is validated here, as the
+    final combination can be invalid when no stage state is.
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -408,7 +404,9 @@ def step_rk4(state: SimState, dt: float, params: PhysParams, source=None) -> Sim
         update(k, t0 + 0.5 * dt, shift(c, True))
         del k
     update(compute_rhs(stage, params), t0 + dt, last)
-    return state.with_fields(*acc, t0 + dt)
+    result = state.with_fields(*acc, t0 + dt)
+    validate_state(result)
+    return result
 
 
 def run(

@@ -11,7 +11,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import electromagnetics as em
-from . import operators as ops
 from .grid import GridSpec
 from .params import Formulation
 
@@ -88,40 +87,12 @@ def scalar_components(fields) -> list[np.ndarray]:
     return [*mag, *v, rho, p]
 
 
-#: The checks of ``validate_state`` in the order it makes them:
-#: (quantity, message, index of the field in ``SimState.fields``, test).
-_CHECKS = (
-    *((name, f"{name} contains non-finite values", i, lambda a: np.isfinite(a).all())
-      for i, name in enumerate(_FIELD_NAMES)),
-    ("rho", "rho must be strictly positive everywhere", 2, lambda a: (a > 0.0).all()),
-    ("P", "P must be strictly positive everywhere", 3, lambda a: (a > 0.0).all()),
-)
-
-
-def first_failed_check(state: SimState, lo: int = 0, hi: int | None = None) -> int | None:
-    """Index in ``_CHECKS`` of the first check that planes lo..hi-1 along x
-    fail (numbered mod nx, so the range may run past either end), or None.
-    The default is the whole grid."""
-    n = state.grid.nx
-    runs = list(ops._plane_runs(lo, n if hi is None else hi, n))
-    for index, (_, _, field_index, passes) in enumerate(_CHECKS):
-        arr = state.fields[field_index]
-        if not all(passes(arr[..., a:a + m, :, :]) for _, m, (a,) in runs):
-            return index
-    return None
-
-
-def validate_state(state: SimState, checked=None) -> None:
-    """Raise StateInvalidError naming the first offending quantity.
-
-    ``checked``, when given, holds ``first_failed_check`` of blocks of
-    planes that cover the grid, from a caller that checked the blocks
-    itself (``dynamics`` does, one block per thread); otherwise the whole
-    grid is checked here.  Either way the error is the first failing
-    check in ``_CHECKS`` order over the whole grid.
-    """
-    failed = [first_failed_check(state)] if checked is None else checked
-    failed = [index for index in failed if index is not None]
-    if failed:
-        name, message = _CHECKS[min(failed)][:2]
-        raise StateInvalidError(name, message)
+def validate_state(state: SimState) -> None:
+    """Raise StateInvalidError naming the first offending quantity."""
+    for name, arr in zip(_FIELD_NAMES, state.fields):
+        if not np.isfinite(arr).all():
+            raise StateInvalidError(name, f"{name} contains non-finite values")
+    if not (state.rho > 0.0).all():
+        raise StateInvalidError("rho", "rho must be strictly positive everywhere")
+    if not (state.p > 0.0).all():
+        raise StateInvalidError("P", "P must be strictly positive everywhere")

@@ -17,6 +17,22 @@ def slab(nx):
     return GridSpec(nx, 4, 4, TWO_PI, TWO_PI, TWO_PI)
 
 
+def pressure_sink_at(call, rate=-1e6):
+    """An RK4 source that adds dP/dt = rate at its call-th call (counted
+    from 1; ``step_rk4`` calls it once per stage) and nothing otherwise.
+    At a step's fourth call it reaches only the final combination, so
+    every stage state stays valid."""
+    calls = []
+
+    def source(grid, t):
+        calls.append(t)
+        zero = np.zeros(grid.shape)
+        dp = np.full(grid.shape, rate) if len(calls) == call else zero
+        return np.zeros(grid.vshape), np.zeros(grid.vshape), zero, dp
+
+    return source
+
+
 def smooth_scalar(grid):
     x, y, z = grid.meshes()
     s = np.sin(x) * np.cos(y) + 0.5 * np.cos(2.0 * z)

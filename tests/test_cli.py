@@ -7,9 +7,11 @@ import os
 import numpy as np
 import pytest
 
-from modmhd import cli, parse_config, read_snapshot
+from modmhd import RunConfig, cfl_dt, cli, parse_config, read_snapshot
 from modmhd.diagnostics import CSV_COLUMNS
 from modmhd.operators import modified_wavenumber
+
+from conftest import pressure_sink_at
 
 TWO_PI = 6.283185307179586
 
@@ -221,6 +223,26 @@ def test_run_numerical_failure_keeps_config_txt(tmp_path, capsys):
     assert cli.main(argv) == cli.EXIT_NUMERICAL
     written = parse_config((out / "config.txt").read_text())
     assert (written.nx, written.scenario, written.t_end) == (32, "sound_wave", 6.0)
+
+
+@pytest.mark.parametrize("steps", [5.5, 1.9])
+def test_run_invalid_final_rk4_combination_exits_3(tmp_path, capsys, monkeypatch, steps):
+    # step 2's last source term drives P negative in its final combination
+    # only; the run stops there and flushes the finite rows before it
+    text = BASE.replace("= 16", "= 8") + 'scenario.name = "sound_wave"\n'
+    cfg = parse_config(text)
+    t_end = steps * cfl_dt(cfg.build_case().state, cfg.phys())
+    path = tmp_path / "run.cfg"
+    path.write_text(text + f"numerics.t_end = {t_end!r}\n")
+    build = RunConfig.build_case
+    monkeypatch.setattr(RunConfig, "build_case", lambda self: dataclasses.replace(
+        build(self), source=pressure_sink_at(8)))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--out-dir", str(out)]) == cli.EXIT_NUMERICAL
+    assert "P must be strictly positive" in capsys.readouterr().err
+    rows = _read_rows(out / "diagnostics.csv")
+    assert len(rows) == 2
+    assert np.isfinite([[float(x) for x in row.values()] for row in rows]).all()
 
 
 def test_identities_pass_and_write_csv(tmp_path, capsys):

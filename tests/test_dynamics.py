@@ -42,7 +42,7 @@ from modmhd import (
 from modmhd.dispersion import mode_coefficients
 from modmhd.grid import full_vector
 
-from conftest import cube, slab
+from conftest import cube, pressure_sink_at, slab
 
 
 def _rest_state(g, formulation=Formulation.MODIFIED, rho0=1.0, p0=1.0):
@@ -370,17 +370,20 @@ def test_rhs_helper_failure_propagates_and_leaves_no_thread(monkeypatch):
         assert len(ran) == 2
 
 
+def _refuse_thread_start(monkeypatch):
+    def refuse(self):
+        raise AssertionError(f"thread {self.name} started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+
+
 def test_one_usable_cpu_starts_no_thread(monkeypatch):
     # the CPU affinity, not a setting, keeps a run on one thread (README:
     # ``taskset -c 0``); under it every slab pass runs on the calling thread
     st = _overlap_case(Formulation.MODIFIED, 2)
     params = PhysParams(gauge=GaugePolicy.every_step())
-
-    def refuse(self):
-        raise AssertionError(f"thread {self.name} started")
-
     monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 1)
-    monkeypatch.setattr(threading.Thread, "start", refuse)
+    _refuse_thread_start(monkeypatch)
     final, records = run(st, params, t_end=1.5 * cfl_dt(st, params))
     assert len(records) == 3 and final.t > st.t
 
@@ -427,10 +430,23 @@ def test_two_slab_rhs_peak_is_one_slab_plus_halo_planes(formulation, order, monk
         assert two <= one + halo_planes / g.nx + 8192 / g.npoints
 
 
-def test_validate_names_the_first_check_over_both_slabs(monkeypatch):
-    # each slab checks the planes it reads; the error is the first failing
-    # check in the whole-grid order, whichever slab finds what, and the RHS
-    # still makes one validate_state call
+def test_invalid_state_computes_nothing(monkeypatch):
+    # the state is validated on the calling thread before any slab starts
+    st = _overlap_case(Formulation.TRADITIONAL, 2)
+    st.mag[1, 30, 5, 6] = np.nan
+    monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 2)
+    ran = _record_slab_threads(monkeypatch)
+    _refuse_thread_start(monkeypatch)
+    with pytest.raises(StateInvalidError) as info:
+        compute_rhs(st, PhysParams())
+    assert info.value.quantity == "A"
+    assert ran == []
+
+
+def test_validate_names_the_first_check_over_the_whole_grid(monkeypatch):
+    # the error is the first failing check in the whole-grid order, on
+    # whichever slab's planes each fault lies, and the RHS makes one
+    # validate_state call
     monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 2)
     calls = []
     inner = dynamics.validate_state
@@ -902,6 +918,29 @@ def test_run_flushes_records_on_failure():
         run(case.state, PhysParams(), t_end=6.0)
     assert len(info.value.records) > 5
     assert "P" in str(info.value)
+
+
+def test_step_rk4_refuses_an_invalid_result():
+    # the stage states are valid; only the final combination is not
+    st = sound_wave(cube(8), Formulation.MODIFIED).state
+    p = PhysParams()
+    with pytest.raises(StateInvalidError) as info:
+        step_rk4(st, cfl_dt(st, p), p, source=pressure_sink_at(4))
+    assert info.value.quantity == "P"
+
+
+@pytest.mark.parametrize("steps", [5.5, 1.9])
+def test_run_refuses_an_invalid_final_rk4_combination(steps):
+    # step 2's last source term drives P negative in its final combination
+    # only: the run stops there, on the records of the steps before it,
+    # whether more steps would follow (5.5) or step 2 is the last (1.9)
+    case = sound_wave(cube(8), Formulation.MODIFIED)
+    p = PhysParams()
+    t_end = steps * cfl_dt(case.state, p)
+    with pytest.raises(SimulationError, match="P must be strictly positive") as info:
+        run(case.state, p, t_end=t_end, source=pressure_sink_at(8))
+    _, ok = run(case.state, p, t_end=t_end)
+    assert info.value.records == ok[:2]
 
 
 def test_run_entropy_shifted_to_zero_start():
