@@ -38,35 +38,37 @@ read the k neighbouring planes beyond it (k the stencil's half-width),
 periodically.  Of the intermediates only H_y, H_z (for j) and rho v_x
 (for div(rho v)) are differentiated again, so curl A and rho v_x are
 formed on k extra planes on either side, and no slab waits for the other
-inside an RHS.  ``compute_rhs`` validates the state on the calling
-thread before any slab starts, so an invalid state computes nothing.
-``cfl_dt`` takes each slab's maximum.  ``step_rk4`` adds the source,
-writes the next stage state and sums the k's in a second, short pass per
-stage, because the stage state is shared and no slab may overwrite planes
-that the other's stencils can still read.  Each value is formed by the
-same operations on one slab or two, so the results are bitwise the
-serial ones.  ``OPENBLAS_NUM_THREADS`` does not govern the helper; the
-CPU affinity does, so running under ``taskset -c 0`` keeps every pass on
-one thread.  Do so when the host steals CPU: each hand-off halts a vCPU
-that a loaded host is slow to wake, and a step makes nine.  On a 2-vCPU
-VM under host steal, an earlier split of the RHS by function over two
-threads took 483-1009 ms/step on ``traditional_64`` against 393-640 on
-one; the slabs have not been measured under steal.
+inside an RHS.  The state is validated on the calling thread before any
+slab starts, so an invalid state computes nothing.  ``cfl_dt`` takes
+each slab's maximum.  In ``step_rk4`` a slab then adds the source to its
+planes of k, sums them and forms the next stage state on them in the
+same pass; stage states alternate between two buffer sets, so no slab
+writes planes that the other's stencils can still read.  Each value is
+formed by the same operations on one slab or two, so the results are
+bitwise the serial ones.  ``OPENBLAS_NUM_THREADS`` does not govern the
+helper; the CPU affinity does, so running under ``taskset -c 0`` keeps
+every pass on one thread.  Do so when the host steals CPU: each hand-off
+halts a vCPU that a loaded host is slow to wake, and a step makes five
+(four stages, ``cfl_dt``).  On a 2-vCPU VM under host steal, an earlier
+split of the RHS by function over two threads took 483-1009 ms/step on
+``traditional_64`` against 393-640 on one; the slabs have not been
+measured under steal.
 
-While an RHS runs, an RK4 step holds the state, the running sum of the
-k's and one stage state: three sets of the eight scalar fields.  The RHS
-adds its own peak, the k it returns included: at 64^3, 12.05 scalar
-fields on one slab for the traditional system and 18.0 for the modified
-one (``tests/test_dynamics.py`` pins them on 16^3), and 12.3 and 18.1
-on two slabs, whose scratch adds up to one slab's and the halo planes.
-So the RHS's scratch, not the state, sets the step's high-water mark, and
-``compute_rhs`` keeps it low.  It allocates the k first and uses its
-planes as scratch: j fills dA/dt's until v x H does, the force fills
-dv/dt's until the fluid lines join it, and dP/dt's serve the curls and
-the contraction.  The fluid lines are formed one component at a time,
-every other intermediate is updated in place and dropped after its last
-reader.  It never writes into a state's arrays, which states share
-(``with_fields`` and a no-op projection hand them on).
+While a stage's RHS runs, an RK4 step holds the state, the running sum
+of the k's and two buffer sets, the stage state that the RHS reads and
+the k that it writes: four sets of the eight scalar fields (five with a
+source).  The RHS's scratch beyond its k sets the high-water mark.  With
+its k the RHS peaks at 64^3 at 12.05 scalar fields on one slab for the
+traditional system and 18.0 for the modified one, and at 12.3 and 18.1
+on two slabs, whose scratch adds up to one slab's and the halo planes
+(``tests/test_dynamics.py`` pins them and the step's peak on 16^3).  It
+keeps that scratch low by working in the k's planes first: j fills
+dA/dt's until v x H does, the force fills dv/dt's until the fluid lines
+join it, and dP/dt's serve the curls and the contraction.  The fluid
+lines are formed one component at a time, every other intermediate is
+updated in place and dropped after its last reader.  It never writes
+into a state's arrays, which states share (``with_fields`` and a no-op
+projection hand them on).
 """
 
 from __future__ import annotations
@@ -281,6 +283,19 @@ def _rhs_planes(state: SimState, params: PhysParams, slab: _Slab, k: Rhs) -> Non
     np.negative(drho, out=drho)
 
 
+def _rhs_pass(state: SimState, params: PhysParams, k: Rhs, then=None) -> None:
+    """Validate the state on the calling thread, then write its RHS into k
+    slab by slab; each slab runs then(slab), if given, after its planes."""
+    validate_state(state)
+
+    def work(slab):
+        _rhs_planes(state, params, slab, k)
+        if then is not None:
+            then(slab)
+
+    _on_slabs(_slabs(state.grid, params.stencil_order), work)
+
+
 def compute_rhs(state: SimState, params: PhysParams) -> Rhs:
     """Semidiscrete right-hand side of either formulation.
 
@@ -292,10 +307,8 @@ def compute_rhs(state: SimState, params: PhysParams) -> Rhs:
     an invalid state raises StateInvalidError and computes nothing, and it
     only reads the state's arrays.
     """
-    validate_state(state)
     k = Rhs(*(np.empty(f.shape) for f in state.fields))
-    _on_slabs(_slabs(state.grid, params.stencil_order),
-              lambda slab: _rhs_planes(state, params, slab, k))
+    _rhs_pass(state, params, k)
     return k
 
 
@@ -349,61 +362,48 @@ def step_rk4(state: SimState, dt: float, params: PhysParams, source=None) -> Sim
     4-tuple matching Rhs) added to the RHS at each stage time -- used by
     the manufactured-solution scenario.  It never projects A: the gauge
     split belongs to the caller (``run``, or ``enforce_gauge`` by hand).
-    After each RHS the stage arithmetic runs on the slabs of
-    ``compute_rhs``, in a pass of its own: a slab may overwrite the stage
-    state's planes only once no stencil of the RHS can still read them.
-    It returns a valid state or raises StateInvalidError: ``compute_rhs``
-    validates each stage state, and the result is validated here, as the
-    final combination can be invalid when no stage state is.
+    Each stage is one slab pass, which also adds the source, sums the k's
+    and forms the next stage state (see the module docstring).  It returns
+    a valid state or raises StateInvalidError: each stage state is
+    validated before its RHS, and the result here, as the final
+    combination can be invalid when no stage state is.
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    slabs = _slabs(state.grid, params.stencil_order)
-    t0 = state.t
-    # stage states share one buffer set: each is dead once its k is taken
-    buffers = tuple(np.empty(f.shape) for f in state.fields)
-    stage = state.with_fields(*buffers, t0)
+    t0, w = state.t, dt / 6.0
+    acc, one, two = (Rhs(*(np.empty(f.shape) for f in state.fields)) for _ in range(3))
 
-    def update(k: Rhs, t_stage: float, work) -> None:
-        """The source at t_stage joins k; then work(f, buf, k, acc) runs on
-        each field's planes, slab by slab."""
-        extra = None if source is None else source(state.grid, t_stage)
+    def stage_pass(stage: SimState, t_stage: float, k: Rhs, b: float, c: float | None):
+        """k = RHS(stage) + source(t_stage); then, on each slab's planes,
+        acc += b k (k1 is acc itself) and the next stage state f + c k goes
+        into k's set (``one`` after k1) as (c/b)(b k), bitwise c k since
+        doubling and halving are exact.  After k4 (c None), acc = f + w acc."""
+        extra = () if source is None else (source(state.grid, t_stage),)
+        nxt = one if k is acc else k
 
-        def on(slab):
-            if extra is not None:
-                for f, g in zip(_planes(k, slab), _planes(extra, slab)):
-                    f += g
-            for views in zip(*(_planes(x, slab) for x in (state.fields, buffers, k, acc))):
-                work(*views)
+        def then(slab):
+            parts = (state.fields, k, acc, nxt) + extra
+            for f, kf, a, nf, *e in zip(*(_planes(x, slab) for x in parts)):
+                if e:
+                    kf += e[0]
+                if b != 1.0:
+                    kf *= b
+                if k is not acc:
+                    a += kf
+                if c is None:
+                    a *= w
+                    a += f
+                else:
+                    np.multiply(c / b, kf, out=nf)
+                    nf += f
 
-        _on_slabs(slabs, on)
+        _rhs_pass(stage, params, k, then)
+        return state.with_fields(*nxt, t0)
 
-    def shift(c: float, doubled: bool):
-        """Write the stage state f + c k; then, if ``doubled``, add 2 k to acc."""
-        def work(f, buf, k, acc):
-            np.multiply(c, k, out=buf)
-            np.add(f, buf, out=buf)
-            if doubled:
-                k *= 2.0
-                acc += k
-        return work
-
-    def last(f, buf, k, acc):
-        acc += k
-        acc *= w
-        acc += f
-
-    # a running sum in the order of f + w*(k1 + 2 k2 + 2 k3 + k4); k2 and
-    # k3 join it once their stage state is built and are freed before the
-    # next RHS, so at most one k is held beside the sum
-    w = dt / 6.0
-    acc = compute_rhs(state, params)
-    update(acc, t0, shift(0.5 * dt, False))
-    for c in (0.5 * dt, dt):    # k2 and k3, both at the half step
-        k = compute_rhs(stage, params)
-        update(k, t0 + 0.5 * dt, shift(c, True))
-        del k
-    update(compute_rhs(stage, params), t0 + dt, last)
+    stage = stage_pass(state, t0, acc, 1.0, 0.5 * dt)
+    stage = stage_pass(stage, t0 + 0.5 * dt, two, 2.0, 0.5 * dt)
+    stage = stage_pass(stage, t0 + 0.5 * dt, one, 2.0, dt)
+    stage_pass(stage, t0 + dt, two, 1.0, None)
     result = state.with_fields(*acc, t0 + dt)
     validate_state(result)
     return result

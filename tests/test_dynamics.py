@@ -293,6 +293,21 @@ def test_cfl_dt_scratch_footprint(formulation, order):
     assert all(np.array_equal(a, b) for a, b in zip(st.fields, before.fields))
 
 
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("formulation", list(Formulation))
+def test_step_rk4_scratch_footprint(formulation, order):
+    # the running sum and two buffer sets (24 fields), and an RHS's
+    # scratch beyond the k that it writes into one of them
+    st = random_solenoidal(cube(16), formulation, amplitude=0.3, order=order).state
+    params = PhysParams(stencil_order=order)
+    dt = cfl_dt(st, params)
+    before = st.copy()
+    out, peak = _peak_fields(lambda s, p: step_rk4(s, dt, p), st, params)
+    assert out.t == dt
+    assert peak < 24 + _RHS_PEAK_FIELDS[formulation, order] - 8
+    assert all(np.array_equal(a, b) for a, b in zip(st.fields, before.fields))
+
+
 # -- two slabs on two threads ----------------------------------------------------
 
 def _overlap_case(formulation, order, shape=(40, 36, 24)):
@@ -375,6 +390,34 @@ def _refuse_thread_start(monkeypatch):
         raise AssertionError(f"thread {self.name} started")
 
     monkeypatch.setattr(threading.Thread, "start", refuse)
+
+
+def test_step_rk4_makes_one_slab_pass_per_stage(monkeypatch):
+    # each stage adds the source, sums its k and forms the next stage state
+    # in its RHS's pass: one helper thread per stage, and the source is
+    # taken on the calling thread at the four stage times
+    st = _overlap_case(Formulation.MODIFIED, 2)
+    st = st.with_fields(*st.fields, 0.25)
+    params = PhysParams()
+    monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 2)
+    dt = cfl_dt(st, params)
+    started, calls = [], []
+    start = threading.Thread.start
+
+    def count(self):
+        started.append(self.name)
+        return start(self)
+
+    def source(grid, t):
+        calls.append((threading.current_thread(), t))
+        return np.zeros(grid.vshape), np.zeros(grid.vshape), *np.zeros((2,) + grid.shape)
+
+    monkeypatch.setattr(threading.Thread, "start", count)
+    step_rk4(st, dt, params, source=source)
+    assert started == ["modmhd-slab"] * 4
+    me = threading.current_thread()
+    assert calls == [(me, st.t), (me, st.t + 0.5 * dt), (me, st.t + 0.5 * dt),
+                     (me, st.t + dt)]
 
 
 def test_one_usable_cpu_starts_no_thread(monkeypatch):
