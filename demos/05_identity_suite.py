@@ -6,7 +6,8 @@ residual must shrink at the stencil order:
 
   a. the two-fluid force with cancelling charge densities collapses to
      the single-fluid advective force;
-  b. the curl of the potential equation reproduces the induction equation;
+  b. the modified force is half the Lorentz force minus S j,
+     f_mod = (1/2) j x H - S j with S = sym grad(A + A0);
   c. div E vanishes (at the stencil order) when dA/dt carries no gradient;
   d. the advective force equals j x H/c minus a gradient-contraction --
      checked both against the hand-derived continuum value and as pure

@@ -35,7 +35,6 @@ from .dispersion import (
     modified_wavenumber,
     oracle_matrix,
     oracle_omegas,
-    wavevector_from_modes,
 )
 from .dynamics import (
     Rhs,
@@ -56,7 +55,7 @@ from .electromagnetics import (
     gauge_shift_sensitivity,
     h_from_a,
 )
-from .grid import GridSpec
+from .grid import GridSpec, wavevector_from_modes
 from .params import Formulation, GaugePolicy, PhysParams
 from .projection import helmholtz_project, poisson_solve
 from .scenarios import (

@@ -121,11 +121,7 @@ def _test_fields(grid: GridSpec):
     v[0] = 0.4 * (np.cos(y) + 0.5 * np.sin(z))
     v[1] = 0.4 * (np.cos(z) + 0.5 * np.sin(x))
     v[2] = 0.4 * (np.cos(x) + 0.5 * np.sin(y))
-    rho = np.empty(grid.shape)
-    rho[...] = 1.0 + 0.2 * np.cos(x) * np.cos(y)
-    p = np.empty(grid.shape)
-    p[...] = 1.0 + 0.15 * np.sin(y) * np.cos(z)
-    return a, v, rho, p
+    return a, v
 
 
 def _solenoidal_family(grid: GridSpec):
@@ -209,7 +205,7 @@ def identity_suite(
         grid = GridSpec(n, n, n, two_pi, two_pi, two_pi)
         grid.require_order(order)
         spacings.append(grid.hx)
-        a, v, rho, p = _test_fields(grid)
+        a, v = _test_fields(grid)
         x, y, z = grid.meshes()
 
         # (a) two-fluid force collapses to the single-fluid advective force

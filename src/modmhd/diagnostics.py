@@ -71,7 +71,7 @@ def diagnostics(
     """
     g = state.grid
     order = params.stencil_order
-    h_tot = state.h_total(order)
+    h_tot = em.h_from_a(state.mag, state.bg, g, order)
 
     mass = ops.integrate(state.rho, g)
     momx, momy, momz = (ops.integrate(state.rho * vc, g) for vc in state.v)

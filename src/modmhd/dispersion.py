@@ -41,8 +41,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import compute_rhs
-from .electromagnetics import FOUR_PI
-from .grid import GridSpec
+from .electromagnetics import FOUR_PI, h_from_a
+from .grid import wavevector_from_modes
 from .operators import modified_wavenumber
 from .params import Formulation, PhysParams
 from .state import SimState, scalar_components
@@ -58,22 +58,6 @@ def _skew(u: np.ndarray) -> np.ndarray:
     return np.array([[0.0, -uz, uy], [uz, 0.0, -ux], [-uy, ux, 0.0]])
 
 
-def wavevector_from_modes(modes, grid: GridSpec) -> np.ndarray:
-    """Physical wavevector for integer mode numbers (waves per box edge),
-    each resolved by its axis: |m_i| < n_i/2 (no alias, no Nyquist mode)."""
-    m = np.asarray(modes)
-    if m.shape != (3,) or not np.all(m == np.round(m)):
-        raise ValueError("modes must be three integers")
-    if np.all(m == 0):
-        raise ValueError("at least one mode number must be nonzero")
-    for axis, mi, n in zip("xyz", m, grid.shape):
-        if not 2 * abs(mi) < n:
-            raise ValueError(f"mode number m{axis} = {int(mi)} is not resolved by "
-                             f"n{axis} = {n} points: need |m{axis}| < {n / 2:g}")
-    lengths = np.array([grid.lx, grid.ly, grid.lz])
-    return 2.0 * np.pi * m.astype(float) / lengths
-
-
 def _sort_omegas(omega: np.ndarray) -> np.ndarray:
     """Sort by |Re omega|, ties by Re then Im (deterministic +/- pairs)."""
     order = np.lexsort((omega.imag, omega.real, np.abs(omega.real)))
@@ -87,7 +71,7 @@ def _rest_values(state: SimState) -> tuple[float, float, np.ndarray]:
             or (state.rho != rho0).any() or (state.p != p0).any()):
         raise ValueError("background must be a uniform rest state: v = 0, "
                          "zero periodic field, constant positive rho and P")
-    return rho0, p0, state.h_total()[:, 0, 0, 0]
+    return rho0, p0, h_from_a(state.mag, state.bg, state.grid)[:, 0, 0, 0]
 
 
 def oracle_matrix(background: SimState, modes, params: PhysParams) -> np.ndarray:

@@ -173,14 +173,16 @@ def _keep_freed_heap() -> None:
     """Stop glibc from handing freed field arrays back to the kernel.
 
     Every RK4 stage allocates and frees the same few-megabyte arrays.
-    glibc's dynamic thresholds follow the largest block freed so far; on
-    a 32^3 run they settle near 2 MiB (mmap) and 4 MiB (trim), so the heap
-    top is handed back as a stage's temporaries are freed and the next
-    stage faults those pages in again: about 1400 minor faults a step,
-    and steps that slow down and spread when the host is loaded.  ``run``
-    pins both thresholds for the process at the ceilings that the dynamic
-    rule can reach (32 and 64 MiB).  A libc without ``mallopt`` is left
-    alone.
+    With glibc's dynamic thresholds the heap top is handed back as a
+    stage's temporaries are freed and the next stage faults those pages
+    in again: unpinned, a 32^3 run recording every step takes about 1700
+    (traditional) and 3400 (modified) minor faults a step, and steps slow
+    down and spread when the host is loaded.  ``run`` keeps blocks below
+    32 MiB on the heap and turns trimming off for the process.  A fixed
+    trim threshold is not enough: under the 64 MiB ceiling of glibc's
+    dynamic rule, 5-step 64^3 runs still took about 2570 faults a step,
+    against 6 with trimming off, at the same peak RSS.  A libc without
+    ``mallopt`` is left alone.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -188,7 +190,7 @@ def _keep_freed_heap() -> None:
         return
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     mallopt(-3, 32 << 20)   # M_MMAP_THRESHOLD
-    mallopt(-1, 64 << 20)   # M_TRIM_THRESHOLD
+    mallopt(-1, -1)         # M_TRIM_THRESHOLD: never trim
 
 
 def _rhs_planes(state: SimState, params: PhysParams, slab: _Slab, k: Rhs) -> None:

@@ -120,6 +120,22 @@ class GridSpec:
         return xs[:, None, None], ys[None, :, None], zs[None, None, :]
 
 
+def wavevector_from_modes(modes, grid: GridSpec) -> np.ndarray:
+    """Physical wavevector for integer mode numbers (waves per box edge),
+    each resolved by its axis: |m_i| < n_i/2 (no alias, no Nyquist mode)."""
+    m = np.asarray(modes)
+    if m.shape != (3,) or not np.all(m == np.round(m)):
+        raise ValueError("modes must be three integers")
+    if np.all(m == 0):
+        raise ValueError("at least one mode number must be nonzero")
+    for axis, mi, n in zip("xyz", m, grid.shape):
+        if not 2 * abs(mi) < n:
+            raise ValueError(f"mode number m{axis} = {int(mi)} is not resolved by "
+                             f"n{axis} = {n} points: need |m{axis}| < {n / 2:g}")
+    lengths = np.array([grid.lx, grid.ly, grid.lz])
+    return 2.0 * np.pi * m.astype(float) / lengths
+
+
 def full_vector(grid: GridSpec, comps) -> np.ndarray:
     """Stack three broadcastable component expressions into a vector field."""
     out = np.zeros(grid.vshape)

@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .electromagnetics import FOUR_PI, BackgroundPotential
-from .grid import GridSpec, full_vector
+from .grid import GridSpec, full_vector, wavevector_from_modes
 from .params import Formulation, PhysParams
 from .projection import helmholtz_project
 from .state import SimState
@@ -52,6 +52,20 @@ def _check_positive(**kw):
 def _mag_state(grid, formulation, mag, v, rho, p, h0vec, t=0.0) -> SimState:
     return SimState(grid, formulation, mag, v, rho, p,
                     BackgroundPotential.from_uniform_field(h0vec), t)
+
+
+def _plane_wave_k(grid: GridSpec, rho0: float, p0: float, delta: float,
+                  mode: int) -> float:
+    """Wavenumber of a plane wave along x with ``mode`` waves per box edge,
+    after the checks ``alfven_wave`` and ``sound_wave`` share: mode must be
+    nonzero and resolved by ``wavevector_from_modes``."""
+    _check_positive(rho0=rho0, p0=p0)
+    if mode == 0:
+        raise ValueError("mode must be a nonzero integer")
+    k = float(wavevector_from_modes((mode, 0, 0), grid)[0])
+    if abs(delta) >= 1.0:
+        warnings.warn("delta >= 1: strongly nonlinear regime", stacklevel=3)
+    return k
 
 
 def uniform_rest(
@@ -98,12 +112,7 @@ def alfven_wave(
     form moves at v_A/sqrt(2) and carries v divided by sqrt(2).  No exact
     solution is attached for the modified formulation.
     """
-    _check_positive(rho0=rho0, p0=p0)
-    if mode == 0:
-        raise ValueError("mode must be a nonzero integer")
-    if abs(delta) >= 1.0:
-        warnings.warn("delta >= 1: strongly nonlinear regime", stacklevel=2)
-    k = 2.0 * math.pi * mode / grid.lx
+    k = _plane_wave_k(grid, rho0, p0, delta, mode)
     v_a = b0 / math.sqrt(FOUR_PI * rho0)
 
     def make(g: GridSpec, t: float) -> SimState:
@@ -139,12 +148,7 @@ def sound_wave(
     The attached exact solution is the linear traveling wave, good to
     O(delta^2) -- keep delta small when using it as a reference.
     """
-    _check_positive(rho0=rho0, p0=p0)
-    if mode == 0:
-        raise ValueError("mode must be a nonzero integer")
-    if abs(delta) >= 1.0:
-        warnings.warn("delta >= 1: strongly nonlinear regime", stacklevel=2)
-    k = 2.0 * math.pi * mode / grid.lx
+    k = _plane_wave_k(grid, rho0, p0, delta, mode)
     c_s = math.sqrt(gamma * p0 / rho0)
 
     def make(g: GridSpec, t: float) -> SimState:
@@ -175,9 +179,11 @@ def random_solenoidal(
 
     A and v are sums of cos/sin modes over the integer mode numbers
     |m_i| <= k_max at wavenumbers k_i = 2 pi m_i / L_i, so both fields are
-    periodic and band-limited on any box.  The coefficients come from one
-    generator in a fixed lexicographic mode order (A first, then v), with
-    weight amplitude / (1 + |m|^2), so a seed always gives the same state.
+    periodic on any box.  They are band-limited only on axes of more than
+    2 k_max points: on a shorter axis the modes alias onto each other.
+    The coefficients come from one generator in a fixed lexicographic mode
+    order (A first, then v), with weight amplitude / (1 + |m|^2), so a
+    seed always gives the same state.
     The sum is evaluated one axis at a time, as
     Re sum_m (c0 - i c1) e^{i kx x} e^{i ky y} e^{i kz z}; its bits differ
     by roundoff from versions that summed full-grid cos/sin per mode (on
@@ -242,7 +248,8 @@ def orszag_tang_like(
 
     A_z = a0 (cos(2 ky y) / 2 + cos(kx x)), v = v0 (-sin(ky y), sin(kx x), 0),
     periodic on any box; on a 2 pi box this is cos 2y / 2 + cos x and so
-    on.  z-derivatives vanish identically at t = 0.
+    on.  z-derivatives vanish identically at t = 0.  Its modes (1, 2, 0)
+    go through ``wavevector_from_modes``, so ny must be at least 5.
 
     The modified force of this planar state is identically zero: A is
     along z and varies in x and y only, so j is along z and
@@ -252,11 +259,11 @@ def orszag_tang_like(
     """
     _check_positive(rho0=rho0, p0=p0)
     x, y, _ = grid.meshes()
-    kx, ky = 2.0 * math.pi / grid.lx, 2.0 * math.pi / grid.ly
+    kx, ky2, _ = wavevector_from_modes((1, 2, 0), grid)   # ky2 = 2 ky
     mag = np.zeros(grid.vshape)
-    mag[2] = a0 * (np.cos(2.0 * ky * y) / 2.0 + np.cos(kx * x))
+    mag[2] = a0 * (np.cos(ky2 * y) / 2.0 + np.cos(kx * x))
     v = np.zeros(grid.vshape)
-    v[0] = -v0 * np.sin(ky * y)
+    v[0] = -v0 * np.sin(0.5 * ky2 * y)
     v[1] = v0 * np.sin(kx * x)
 
     state = _mag_state(

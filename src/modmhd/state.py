@@ -68,16 +68,9 @@ class SimState:
         """The evolved fields (mag, v, rho, p), in ``with_fields`` order."""
         return (self.mag, self.v, self.rho, self.p)
 
-    def h_total(self, order: int = 2) -> np.ndarray:
-        """Total magnetic field curl A + H0."""
-        return em.h_from_a(self.mag, self.bg, self.grid, order)
-
     def with_fields(self, mag: np.ndarray, v: np.ndarray, rho: np.ndarray,
                     p: np.ndarray, t: float) -> "SimState":
         return replace(self, mag=mag, v=v, rho=rho, p=p, t=t)
-
-    def copy(self) -> "SimState":
-        return self.with_fields(*(f.copy() for f in self.fields), self.t)
 
 
 def scalar_components(fields) -> list[np.ndarray]:

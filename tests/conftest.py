@@ -17,6 +17,11 @@ def slab(nx):
     return GridSpec(nx, 4, 4, TWO_PI, TWO_PI, TWO_PI)
 
 
+def copied(state):
+    """``state`` with each evolved field copied, through ``with_fields``."""
+    return state.with_fields(*(f.copy() for f in state.fields), state.t)
+
+
 def pressure_sink_at(call, rate=-1e6):
     """An RK4 source that adds dP/dt = rate at its call-th call (counted
     from 1; ``step_rk4`` calls it once per stage) and nothing otherwise.

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -82,6 +83,16 @@ def test_run_config_with_speed_of_light_is_config_error(tmp_path, capsys):
     cfg = _cfg(tmp_path, 'scenario.name = "uniform_rest"\nphysics.c = 1\n')
     assert cli.main(["run", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 2
     assert "line 8: unknown key 'physics.c'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["alfven_wave", "sound_wave"])
+def test_run_mode_the_grid_cannot_hold_is_config_error(tmp_path, capsys, name):
+    # mode 8 is the Nyquist mode of BASE's 16 x-points
+    cfg = _cfg(tmp_path, f'scenario.name = "{name}"\nscenario.mode = 8\n')
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", cfg, "--out-dir", str(out)]) == 2
+    assert "mx = 8 is not resolved by nx = 16 points" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_grid_too_small_for_stencil_order_is_config_error(tmp_path, capsys):
@@ -171,7 +182,8 @@ def test_run_config_txt_reproduces_the_run(tmp_path, capsys):
     cfg = _cfg(tmp_path, body)
     first, again = tmp_path / "first", tmp_path / "again"
     assert cli.main(["run", "--config", cfg, "--out-dir", str(first)]) == 0
-    resolved = dataclasses.replace(parse_config(open(cfg).read()), out_dir=str(first))
+    resolved = dataclasses.replace(parse_config(Path(cfg).read_text()),
+                                   out_dir=str(first))
     assert parse_config((first / "config.txt").read_text()) == resolved
     assert cli.main(["run", "--config", str(first / "config.txt"),
                      "--out-dir", str(again)]) == 0

@@ -3,7 +3,9 @@ import pytest
 
 import modmhd.operators as ops
 from modmhd import ConfigError, GridSpec, PhysParams, parse_config
-from modmhd.grid import STENCIL_ORDERS_TEXT, full_vector
+from modmhd import wavevector_from_modes as package_rule
+from modmhd.dispersion import wavevector_from_modes as dispersion_rule
+from modmhd.grid import STENCIL_ORDERS_TEXT, full_vector, wavevector_from_modes
 
 from conftest import TWO_PI, cube
 
@@ -15,6 +17,12 @@ def test_spacings_and_shapes():
     assert g.vshape == (3, 8, 16, 4)
     assert g.npoints == 8 * 16 * 4
     assert g.cell_volume * g.npoints == pytest.approx(1.0 * 2.0 * 4.0)
+
+
+def test_the_mode_rule_lives_in_grid():
+    # the builders and the dispersion tools share this one rule
+    assert package_rule is wavevector_from_modes
+    assert dispersion_rule is wavevector_from_modes
 
 
 def test_coords_exclude_right_endpoint():

@@ -79,11 +79,33 @@ def test_alfven_warns_on_nonlinear_amplitude():
             builder(cube(8), delta=1.5)
 
 
+@pytest.mark.parametrize("builder", [alfven_wave, sound_wave])
+@pytest.mark.parametrize("mode", [8, -8, 9, 23])
+def test_plane_waves_refuse_modes_the_grid_cannot_hold(builder, mode):
+    # on 16 x-points +-8 is the Nyquist mode, which the stencils see as
+    # k = 0, and 9 and 23 alias onto -7 and 7
+    message = f"mode number mx = {mode} is not resolved by nx = 16 points"
+    with pytest.raises(ValueError, match=message):
+        builder(slab(16), mode=mode)
+
+
+@pytest.mark.parametrize("builder", [alfven_wave, sound_wave])
+def test_plane_waves_build_the_highest_resolved_modes(builder):
+    for mode in (7, -7):
+        assert ops.max_norm(builder(slab(16), mode=mode).state.v) > 0.0
+
+
+@pytest.mark.parametrize("builder", [alfven_wave, sound_wave])
+def test_plane_waves_refuse_a_fractional_library_mode(builder):
+    with pytest.raises(ValueError, match="modes must be three integers"):
+        builder(cube(8), mode=1.5)
+
+
 def test_alfven_zero_amplitude_is_uniform_rest():
     g = cube(8)
     case = alfven_wave(g, Formulation.TRADITIONAL, delta=0.0)
     rest = uniform_rest(g, Formulation.TRADITIONAL, p0=0.6, b0x=1.0)
-    assert np.array_equal(case.state.h_total(), rest.state.h_total())
+    assert np.array_equal(*(h_from_a(s.mag, s.bg, g) for s in (case.state, rest.state)))
     assert np.all(case.state.v == 0.0)
 
 
@@ -281,6 +303,14 @@ def test_orszag_tang_two_dimensional():
     for arr in (st.mag, st.v):
         assert np.all(arr == arr[..., :1])   # constant along z
     assert np.all(st.rho == st.rho[..., :1])
+
+
+def test_orszag_tang_needs_five_y_points():
+    # its current carries cos 2y, the Nyquist mode of a 4-point axis
+    with pytest.raises(ValueError, match="my = 2 is not resolved by ny = 4 points"):
+        orszag_tang_like(GridSpec(16, 4, 4, TWO_PI, TWO_PI, TWO_PI))
+    st = orszag_tang_like(GridSpec(16, 5, 4, TWO_PI, TWO_PI, TWO_PI)).state
+    assert ops.max_norm(st.mag) > 0.0
 
 
 def test_orszag_tang_field_matches_potential():
@@ -517,6 +547,6 @@ def test_config_defaults_are_the_builders_defaults(name, formulation):
     g = cube(8)
     built = build_scenario(name, g, formulation, {}).state
     direct = builder(g, formulation).state
-    for a, b in zip(built.fields + (built.h_total(),),
-                    direct.fields + (direct.h_total(),)):
+    for a, b in zip(built.fields + (h_from_a(built.mag, built.bg, g),),
+                    direct.fields + (h_from_a(direct.mag, direct.bg, g),)):
         assert np.array_equal(a, b)
