@@ -49,10 +49,7 @@ bitwise the serial ones.  ``OPENBLAS_NUM_THREADS`` does not govern the
 helper; the CPU affinity does, so running under ``taskset -c 0`` keeps
 every pass on one thread.  Do so when the host steals CPU: each hand-off
 halts a vCPU that a loaded host is slow to wake, and a step makes five
-(four stages, ``cfl_dt``).  On a 2-vCPU VM under host steal, an earlier
-split of the RHS by function over two threads took 483-1009 ms/step on
-``traditional_64`` against 393-640 on one; the slabs have not been
-measured under steal.
+(four stages, ``cfl_dt``).
 
 While a stage's RHS runs, an RK4 step holds the state, the running sum
 of the k's and two buffer sets, the stage state that the RHS reads and
@@ -74,6 +71,7 @@ projection hand them on).
 from __future__ import annotations
 
 import ctypes
+import functools
 import math
 import os
 import threading
@@ -130,7 +128,7 @@ def _slabs(grid, order: int) -> tuple[_Slab, ...]:
     process may use more than one CPU; otherwise the whole grid.
     """
     n = grid.nx
-    if grid.npoints > _OVERLAP_MIN_POINTS and n > 1 and _usable_cpus() > 1:
+    if grid.npoints > _OVERLAP_MIN_POINTS and _usable_cpus() > 1:
         return (_Slab(0, n // 2, order // 2), _Slab(n // 2, n, order // 2))
     return (_Slab(0, n, 0),)
 
@@ -145,8 +143,10 @@ def _on_slabs(slabs, work) -> list:
 
     The first slab runs on the calling thread and the second, if any, on a
     thread started and joined here.  An error raised on either is raised
-    once both are done, the calling thread's first.
+    once both are done, the calling thread's first.  The first pass pins
+    glibc's allocator for the process (``_keep_freed_heap``).
     """
+    _keep_freed_heap()
     if len(slabs) == 1:
         return [work(slabs[0])]
     outcome = []
@@ -169,19 +169,19 @@ def _on_slabs(slabs, work) -> list:
     return [first, value]
 
 
+@functools.cache
 def _keep_freed_heap() -> None:
     """Stop glibc from handing freed field arrays back to the kernel.
 
     Every RK4 stage allocates and frees the same few-megabyte arrays.
     With glibc's dynamic thresholds the heap top is handed back as a
     stage's temporaries are freed and the next stage faults those pages
-    in again: unpinned, a 32^3 run recording every step takes about 1700
-    (traditional) and 3400 (modified) minor faults a step, and steps slow
-    down and spread when the host is loaded.  ``run`` keeps blocks below
-    32 MiB on the heap and turns trimming off for the process.  A fixed
-    trim threshold is not enough: under the 64 MiB ceiling of glibc's
-    dynamic rule, 5-step 64^3 runs still took about 2570 faults a step,
-    against 6 with trimming off, at the same peak RSS.  A libc without
+    in again, so steps slow down and spread when the host is loaded.
+    Blocks below 32 MiB stay on the heap and trimming is off for the
+    process; a fixed trim threshold is not enough at 64^3 (README gives
+    the fault counts).  Threads started after this allocate from the main
+    arena, so the slab helper reuses the blocks that the calling thread
+    frees; its own arena's size varied from run to run.  A libc without
     ``mallopt`` is left alone.
     """
     try:
@@ -191,6 +191,7 @@ def _keep_freed_heap() -> None:
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     mallopt(-3, 32 << 20)   # M_MMAP_THRESHOLD
     mallopt(-1, -1)         # M_TRIM_THRESHOLD: never trim
+    mallopt(-8, 1)          # M_ARENA_MAX: one arena for every thread
 
 
 def _rhs_planes(state: SimState, params: PhysParams, slab: _Slab, k: Rhs) -> None:
@@ -286,9 +287,8 @@ def _rhs_planes(state: SimState, params: PhysParams, slab: _Slab, k: Rhs) -> Non
 
 
 def _rhs_pass(state: SimState, params: PhysParams, k: Rhs, then=None) -> None:
-    """Validate the state on the calling thread, then write its RHS into k
-    slab by slab; each slab runs then(slab), if given, after its planes."""
-    validate_state(state)
+    """Write the RHS of a validated state into k slab by slab; each slab
+    runs then(slab), if given, after its planes."""
 
     def work(slab):
         _rhs_planes(state, params, slab, k)
@@ -309,6 +309,7 @@ def compute_rhs(state: SimState, params: PhysParams) -> Rhs:
     an invalid state raises StateInvalidError and computes nothing, and it
     only reads the state's arrays.
     """
+    validate_state(state)
     k = Rhs(*(np.empty(f.shape) for f in state.fields))
     _rhs_pass(state, params, k)
     return k
@@ -366,10 +367,16 @@ def step_rk4(state: SimState, dt: float, params: PhysParams, source=None) -> Sim
     split belongs to the caller (``run``, or ``enforce_gauge`` by hand).
     Each stage is one slab pass, which also adds the source, sums the k's
     and forms the next stage state (see the module docstring).  It returns
-    a valid state or raises StateInvalidError: each stage state is
-    validated before its RHS, and the result here, as the final
-    combination can be invalid when no stage state is.
+    a valid state or raises StateInvalidError: it validates its input, and
+    each pass the state it forms, as the final combination can be invalid
+    when no stage state is.
     """
+    validate_state(state)
+    return _step_rk4(state, dt, params, source)
+
+
+def _step_rk4(state: SimState, dt: float, params: PhysParams, source) -> SimState:
+    """``step_rk4`` of a state that has been validated."""
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     t0, w = state.t, dt / 6.0
@@ -381,7 +388,7 @@ def step_rk4(state: SimState, dt: float, params: PhysParams, source=None) -> Sim
         into k's set (``one`` after k1) as (c/b)(b k), bitwise c k since
         doubling and halving are exact.  After k4 (c None), acc = f + w acc."""
         extra = () if source is None else (source(state.grid, t_stage),)
-        nxt = one if k is acc else k
+        nxt = acc if c is None else (one if k is acc else k)
 
         def then(slab):
             parts = (state.fields, k, acc, nxt) + extra
@@ -400,15 +407,14 @@ def step_rk4(state: SimState, dt: float, params: PhysParams, source=None) -> Sim
                     nf += f
 
         _rhs_pass(stage, params, k, then)
-        return state.with_fields(*nxt, t0)
+        formed = state.with_fields(*nxt, t0 + dt if c is None else t0)
+        validate_state(formed)
+        return formed
 
     stage = stage_pass(state, t0, acc, 1.0, 0.5 * dt)
     stage = stage_pass(stage, t0 + 0.5 * dt, two, 2.0, 0.5 * dt)
     stage = stage_pass(stage, t0 + 0.5 * dt, one, 2.0, dt)
-    stage_pass(stage, t0 + dt, two, 1.0, None)
-    result = state.with_fields(*acc, t0 + dt)
-    validate_state(result)
-    return result
+    return stage_pass(stage, t0 + dt, two, 1.0, None)
 
 
 def run(
@@ -427,13 +433,15 @@ def run(
     after every ``out_every``-th step, and at t_end.  Entropy is reported
     as drift from the initial record, also to ``on_record``.  If the state
     goes invalid, a SimulationError carrying all records collected so far
-    is raised (nothing is silently dropped).  A non-finite t_end or
-    initial time, or a grid too small for the stencil order, raises
-    ValueError before anything runs.  It pins glibc's heap thresholds for
-    the process (``_keep_freed_heap``).  After each completed step that
-    the gauge policy names, a modified state is projected onto div A = 0
-    (``enforce_gauge``) and the step's record carries the drift measured
-    before it; ``step_rk4`` itself never projects.
+    is raised (nothing is silently dropped).  It validates the initial
+    state; a step validates the states it forms, not the last step's
+    result or its projection (finite where A is), so ``on_step`` and
+    ``on_record`` must only read the state.  A non-finite t_end or initial
+    time, or a grid too small for the stencil order, raises ValueError
+    before anything runs.  After each completed step that the gauge policy
+    names, a modified state is projected onto div A = 0 (``enforce_gauge``)
+    and the step's record carries the drift measured before it;
+    ``step_rk4`` itself never projects.
     """
     if not (math.isfinite(initial.t) and math.isfinite(t_end)):
         raise ValueError(f"times must be finite, got t = {initial.t}, t_end = {t_end}")
@@ -442,7 +450,6 @@ def run(
     if out_every < 1:
         raise ValueError("out_every must be >= 1")
     initial.grid.require_order(params.stencil_order)
-    _keep_freed_heap()
 
     state = initial
     records: list[DiagnosticsRecord] = []
@@ -472,7 +479,7 @@ def run(
             final = remaining <= 1.01 * dt
             if final:
                 dt = remaining
-            state = step_rk4(state, dt, params, source=source)
+            state = _step_rk4(state, dt, params, source)
             step += 1
             drift = None
             # the Lorentz force does not see A's gradient part, which grows

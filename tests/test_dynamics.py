@@ -523,6 +523,42 @@ def test_validate_names_the_first_check_over_the_whole_grid(monkeypatch):
     assert len(calls) == 1 + len(cases)
 
 
+def test_each_state_is_validated_once(monkeypatch):
+    # compute_rhs checks its argument, and step_rk4 its input and the
+    # states that its passes form; run checks its initial state, then only
+    # what each step forms, as a step's input is the last result or its
+    # projection
+    checked = []
+    inner = dynamics.validate_state
+
+    def spy(state):
+        checked.append(state)
+        inner(state)
+
+    monkeypatch.setattr(dynamics, "validate_state", spy)
+    params = PhysParams(gauge=GaugePolicy.every_step())
+    for cpus in (1, 2):
+        monkeypatch.setattr(dynamics, "_usable_cpus", lambda: cpus)
+        st = _overlap_case(Formulation.MODIFIED, 2)
+        checked.clear()
+        compute_rhs(st, params)
+        assert checked == [st]
+        checked.clear()
+        out = step_rk4(st, cfl_dt(st, params), params)
+        assert len(checked) == 5 and checked[0] is st and checked[-1] is out
+        source = manufactured(st.grid, Formulation.MODIFIED).source
+        for formulation, src in ((Formulation.TRADITIONAL, None),
+                                 (Formulation.MODIFIED, None),
+                                 (Formulation.MODIFIED, source)):
+            st = _overlap_case(formulation, 2)
+            steps = []
+            checked.clear()
+            run(st, params, 2.5 * cfl_dt(st, params), source=src,
+                on_step=lambda s, i: steps.append(i))
+            assert steps[-1] == 3
+            assert len(checked) == 1 + 4 * steps[-1]
+
+
 def _two_slab_cases():
     """(grid shape, order): even and odd nx, and thin x, where a slab is
     no thicker than its halo."""
@@ -1087,3 +1123,33 @@ def test_library_run_pins_the_allocator():
     small, large = map(int, proc.stdout.split())
     assert small < 256, proc.stdout
     assert large < 2048, proc.stdout
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc_stats")
+def test_slab_helper_allocates_from_the_main_arena():
+    # a second malloc arena for the slab helper's temporaries made the peak
+    # of identical 64^3 runs vary; malloc_stats() lists the arenas on
+    # stderr, in a fresh interpreter, before a two-slab run and after it.
+    # Its t_end is taken from cfl_dt, so a helper starts before run does.
+    code = (
+        "import ctypes\n"
+        "import modmhd\n"
+        "import modmhd.dynamics as d\n"
+        "stats = ctypes.CDLL(None).malloc_stats\n"
+        "stats.argtypes, stats.restype = (), None\n"
+        "d._usable_cpus = lambda: 2\n"
+        "g = modmhd.GridSpec(40, 36, 24, 1.0, 2.5, 7.0)\n"
+        "st = modmhd.random_solenoidal(g, modmhd.Formulation.TRADITIONAL, seed=2).state\n"
+        "p = modmhd.PhysParams()\n"
+        "stats()\n"
+        "modmhd.run(st, p, 0.5 * modmhd.cfl_dt(st, p))\n"
+        "stats()\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    before, after, _ = proc.stderr.split("Total (incl. mmap):")
+    assert 1 <= after.count("Arena ") <= before.count("Arena "), proc.stderr
